@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .certify import run_all
@@ -18,12 +17,11 @@ from .errors import (ConstructionError, InputError, SizeLimitError, UdgcutError,
                      WidthLimitError)
 from .geometry import SCALE
 from .graph_core import Graph, parse_graph_text
-from .reduction import (ROLE_ORIGINAL, LoadedOutput, load_output_json, reduce,
-                        to_json)
+from .reduction import ROLE_ORIGINAL, load_output_json, reduce, to_json
 from .solvers import (DEFAULT_BRUTE_LIMIT, DEFAULT_WIDTH_LIMIT,
                       greedy_tree_decomposition, max_bisection_bruteforce,
                       max_cut_bruteforce, max_cut_treewidth_dp)
-from .udg_model import ProximityModel
+from .udg_model import ProximityModel, validate_model
 
 ROLE_COLORS = {
     "original": "#000000",
@@ -31,16 +29,6 @@ ROLE_COLORS = {
     "gadget_w": "#dc143c",
     "detour_apex": "#ff8c00",
 }
-
-
-def _workers() -> int:
-    raw = os.environ.get("UDG_REDUCE_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
 
 
 def _read_input(path: str | None) -> str:
@@ -110,15 +98,23 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _load_graph_or_model(text: str) -> tuple[Graph, LoadedOutput | None]:
-    if text.lstrip().startswith("{"):
-        loaded = load_output_json(text)
-        return loaded.model.graph, loaded
-    return parse_graph_text(text), None
+def _load_graph_or_model(text: str) -> Graph:
+    """A graph file, or the graph of a model JSON whose edges match its
+    coordinates."""
+    if not text.lstrip().startswith("{"):
+        return parse_graph_text(text)
+    model = load_output_json(text).model
+    report = validate_model(model)
+    if not report.ok:
+        raise InputError(
+            "model edges disagree with its coordinates: "
+            f"missing={[e[:2] for e in report.missing_edges[:3]]} "
+            f"spurious={[e[:2] for e in report.spurious_edges[:3]]}")
+    return model.graph
 
 
 def cmd_solve(args) -> int:
-    g, _ = _load_graph_or_model(_read_input(args.input))
+    g = _load_graph_or_model(_read_input(args.input))
     if args.bisection:
         size, cut = max_bisection_bruteforce(g, limit=args.brute_limit)
         print(f"max-bisection {size}")
@@ -128,7 +124,7 @@ def cmd_solve(args) -> int:
     if method == "auto":
         method = "brute" if g.n <= args.brute_limit else "dp"
     if method == "brute":
-        size, cut = max_cut_bruteforce(g, limit=args.brute_limit, workers=_workers())
+        size, cut = max_cut_bruteforce(g, limit=args.brute_limit)
         print(f"max-cut {size}")
         print("side " + "".join(map(str, cut.side)))
     else:

@@ -28,7 +28,7 @@ from .drawing import MeshDrawing, crossings, mesh_draw, standardize, validate_dr
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
 from .gadget import W_OFFSETS, GadgetInstance, build_H, construct_H_on
 from .geometry import SCALE, Point
-from .graph_core import Edge, Graph, canon_edge, disjoint_union
+from .graph_core import Edge, Graph, canon_edge, disjoint_union, graph
 from .udg_model import ProximityModel, precision2, validate_model
 
 ROLE_ORIGINAL = "original"
@@ -107,21 +107,6 @@ class _Builder:
             self.remove_edge(a, b)
         del self.adj[a], self.coords[a], self.prov[a]
 
-    def as_graph(self) -> Graph:
-        edges = {canon_edge(a, b) for a, nbrs in self.adj.items() for b in nbrs}
-        return Graph(self.n_alloc, frozenset(edges))
-
-    def load_graph(self, g: Graph):
-        # refresh adjacency after an operation returned a new Graph
-        self.n_alloc = g.n
-        for a in self.adj:
-            self.adj[a] = set()
-        for nid in self.coords:
-            self.adj.setdefault(nid, set())
-        for u, v in g.edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-
 
 def reduce(g: Graph) -> ReductionOutput:
     """Run the full pipeline on a graph of maximum degree at most 4."""
@@ -189,10 +174,6 @@ def reduce(g: Graph) -> ReductionOutput:
     return _finalize(g, drawn, b, paths, gadgets)
 
 
-def _path_replace(path: list, index: int, count: int, replacement: list):
-    path[index:index + count] = replacement
-
-
 def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
                          cp: Point) -> GadgetInstance:
     eh, ev = cross_edges[cp]
@@ -214,7 +195,7 @@ def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
     b.remove_edge(below, above)
     b.add_edge(below, v3)
     b.add_edge(v3, above)
-    _path_replace(vpath, iv, 1, [v3])
+    vpath[iv] = v3
 
     # Step 3, horizontal edge: drop the two flanking vertices, reroute through
     # four vertices on the half-integer row above the crossing.
@@ -238,22 +219,29 @@ def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
     for a_, b_ in ((hm2, c1), (c1, c2), (c2, c3), (c3, c4), (c4, hp2)):
         b.add_edge(a_, b_)
     replacement = [c1, c2, c3, c4] if left_first else [c4, c3, c2, c1]
-    _path_replace(hpath, ih - 1, 3, replacement)
+    hpath[ih - 1:ih + 2] = replacement
 
     # Step 4: plant H on the two crossing edges; roles follow the model
     # layout around center (x, y + 1/2): v0 right, v1 top, v2 left, v3 bottom.
-    v0, v1, v2 = c3, above, c2
+    # construct_H_on runs on the subgraph induced by the four cycle vertices,
+    # relabelled 0..3: its preconditions only concern those vertices.
+    vs = (c3, above, c2, v3)
+    local = Graph(4, frozenset((i, j) for i in range(4) for j in range(i + 1, 4)
+                               if vs[j] in b.adj[vs[i]]))
     try:
-        new_graph, inst = construct_H_on(b.as_graph(), (v0, v2), (v1, v3))
+        _, inst = construct_H_on(local, (0, 2), (1, 3))
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
     center = Point(x, y + _HALF)
     w_pts = [center.translate(dx, dy) for dx, dy in W_OFFSETS]
-    for wid, pt in zip(inst.w_ids, w_pts):
-        b.new_node(pt, Provenance(ROLE_GADGET_W, crossing=(x, y)), node_id=wid)
-        node_at[pt] = wid
-    b.load_graph(new_graph)
-    return GadgetInstance(inst.v_ids, inst.w_ids, center, inst.added_edges)
+    ws = tuple(b.new_node(pt, Provenance(ROLE_GADGET_W, crossing=(x, y)))
+               for pt in w_pts)
+    node_at.update(zip(w_pts, ws))
+    ids = vs + ws
+    added = tuple(canon_edge(ids[i], ids[j]) for i, j in inst.added_edges)
+    for a_, b_ in added:
+        b.add_edge(a_, b_)
+    return GadgetInstance(vs, ws, center, added)
 
 
 def _hole_entry(path: list, cp: Point):
@@ -398,48 +386,38 @@ def bisection_double(r: "ReductionOutput | ProximityModel") -> ProximityModel:
 # -- serialization ---------------------------------------------------------
 
 
-def to_json(r: ReductionOutput) -> str:
-    """Deterministic JSON: integer 1/20-unit coordinates, sorted structures."""
+def to_json(r: "ReductionOutput | ProximityModel") -> str:
+    """Deterministic JSON: integer 1/20-unit coordinates, sorted structures.
+
+    A bare model is written as its own source with k = t = 0 and every
+    vertex original."""
+    if isinstance(r, ReductionOutput):
+        model, source, k, t = r.model, r.source, r.k, r.t
+        provenance, per_edge = r.provenance, r.per_edge_subdivisions
+    else:
+        model, source, k, t = r, r.graph, 0, 0
+        provenance = {v: Provenance(ROLE_ORIGINAL) for v in range(r.graph.n)}
+        per_edge = {}
     vertices = []
-    for vid in range(r.result.n):
-        prov = r.provenance[vid]
+    for vid, pt in enumerate(model.points):
+        prov = provenance[vid]
         origin = None
         if prov.edge is not None:
             origin = list(prov.edge)
         elif prov.crossing is not None:
             origin = list(prov.crossing)
-        pt = r.model.points[vid]
         vertices.append({"id": vid, "x": pt.xu, "y": pt.yu,
                          "role": prov.role, "origin": origin})
     payload = {
         "scale": SCALE,
         "vertices": vertices,
-        "edges": [list(e) for e in r.result.sorted_edges()],
-        "k": r.k,
-        "t": r.t,
-        "per_edge_subdivisions": [[list(e), cnt] for e, cnt
-                                  in sorted(r.per_edge_subdivisions.items())],
-        "source": {"n": r.source.n,
-                   "edges": [list(e) for e in r.source.sorted_edges()]},
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def model_to_json(model: ProximityModel, roles: dict[int, str] | None = None) -> str:
-    """Standalone-model JSON in the same schema as a reduction output."""
-    roles = roles or {}
-    vertices = [{"id": i, "x": p.xu, "y": p.yu,
-                 "role": roles.get(i, ROLE_ORIGINAL), "origin": None}
-                for i, p in enumerate(model.points)]
-    payload = {
-        "scale": SCALE,
-        "vertices": vertices,
         "edges": [list(e) for e in model.graph.sorted_edges()],
-        "k": 0,
-        "t": 0,
-        "per_edge_subdivisions": [],
-        "source": {"n": model.graph.n,
-                   "edges": [list(e) for e in model.graph.sorted_edges()]},
+        "k": k,
+        "t": t,
+        "per_edge_subdivisions": [[list(e), cnt] for e, cnt
+                                  in sorted(per_edge.items())],
+        "source": {"n": source.n,
+                   "edges": [list(e) for e in source.sorted_edges()]},
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -452,19 +430,41 @@ class LoadedOutput:
     roles: dict[int, str]
 
 
+def _json_int(value, what: str) -> int:
+    # exact geometry: a float or a bool must not pass for an integer
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_output_json(text: str) -> LoadedOutput:
+    """Decode a model JSON, rejecting anything but integer coordinates, ids
+    that are a permutation of 0..n-1 and a simple edge list.  Whether the
+    edges match the coordinates is left to validate_model."""
     try:
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise InputError("model JSON must be an object")
         if payload.get("scale") != SCALE:
             raise InputError(f"unsupported scale {payload.get('scale')}")
         n = len(payload["vertices"])
         points = [None] * n
         roles = {}
         for rec in payload["vertices"]:
-            points[rec["id"]] = Point(rec["x"], rec["y"])
-            roles[rec["id"]] = rec.get("role", ROLE_ORIGINAL)
-        graph_obj = Graph(n, frozenset(canon_edge(u, v) for u, v in payload["edges"]))
+            vid = _json_int(rec["id"], "vertex id")
+            if not 0 <= vid < n or points[vid] is not None:
+                raise InputError(f"vertex ids must be a permutation of 0..{n - 1}")
+            points[vid] = Point(_json_int(rec["x"], "x"), _json_int(rec["y"], "y"))
+            roles[vid] = rec.get("role", ROLE_ORIGINAL)
+            if not isinstance(roles[vid], str):
+                raise InputError(f"role of vertex {vid} must be a string")
+        edges = [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
+                 for u, v in payload["edges"]]
+        graph_obj = graph(n, edges)
+        if graph_obj.m != len(edges):
+            raise InputError("duplicate edge")
         model = ProximityModel(graph_obj, tuple(points))
-        return LoadedOutput(model, payload.get("k", 0), payload.get("t", 0), roles)
+        return LoadedOutput(model, _json_int(payload.get("k", 0), "k"),
+                            _json_int(payload.get("t", 0), "t"), roles)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed model JSON: {exc}") from exc

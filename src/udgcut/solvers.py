@@ -1,15 +1,13 @@
 """Exact max-cut and max-bisection oracles.
 
 Two routes: exhaustive bitmask enumeration for small graphs (Gray-code
-incremental edge counting, optional chunked workers with a deterministic
-final reduction), and dynamic programming over a nice tree decomposition for
-the large but thin graphs the reduction produces.
+incremental edge counting), and dynamic programming over a nice tree
+decomposition for the large but thin graphs the reduction produces.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -58,13 +56,11 @@ def _brute_chunk(g: Graph, nbmask: list[int], deg: list[int],
     return best_val, best_key
 
 
-def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT,
-                       workers: int = 1) -> tuple[int, Cut]:
+def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
     """Exact maximum cut by enumerating all 2^(n-1) side vectors.
 
     Vertex 0 is fixed to side 0; ties break toward the lexicographically
-    smallest side vector.  The search space may be partitioned into chunks;
-    the final reduction makes the result independent of scheduling.
+    smallest side vector.
     """
     n = g.n
     if n > limit:
@@ -79,18 +75,7 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT,
         nbmask[v] |= 1 << (n - 1 - u)
         deg[u] += 1
         deg[v] += 1
-    total = 1 << (n - 1)
-    workers = max(1, min(workers, total))
-    if workers == 1 or total < 4096:
-        best_val, best_key = _brute_chunk(g, nbmask, deg, 0, total)
-    else:
-        step = (total + workers - 1) // workers
-        ranges = [(s, min(s + step, total)) for s in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda r: _brute_chunk(g, nbmask, deg, r[0], r[1]), ranges))
-        best_val = max(v for v, _ in results)
-        best_key = min(k for v, k in results if v == best_val)
+    best_val, best_key = _brute_chunk(g, nbmask, deg, 0, 1 << (n - 1))
     return best_val, Cut(_side_tuple(best_key, n), best_val)
 
 

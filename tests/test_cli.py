@@ -7,7 +7,7 @@ import pytest
 from udgcut.cli import main, model_svg
 from udgcut.gadget import h_model
 from udgcut.graph_core import complete_graph, format_graph_text, graph, path_graph
-from udgcut.reduction import model_to_json
+from udgcut.reduction import to_json
 
 
 @pytest.fixture
@@ -109,15 +109,9 @@ def test_solve_reads_model_json(tmp_path, capsys):
     assert f"max-cut {expected}" in printed
 
 
-def test_solve_respects_thread_env(tmp_path, k5_file, capsys, monkeypatch):
-    monkeypatch.setenv("UDG_REDUCE_THREADS", "2")
-    assert main(["solve", "--in", k5_file, "--method", "brute"]) == 0
-    assert "max-cut 6" in capsys.readouterr().out
-
-
 def test_render_h_model(tmp_path):
     src = tmp_path / "h.json"
-    src.write_text(model_to_json(h_model()))
+    src.write_text(to_json(h_model()))
     out = tmp_path / "h.svg"
     assert main(["render", "--in", str(src), "--out", str(out)]) == 0
     svg = out.read_text()
@@ -128,7 +122,7 @@ def test_render_h_model(tmp_path):
 def test_render_empty_model(tmp_path):
     from udgcut.udg_model import ProximityModel
     src = tmp_path / "empty.json"
-    src.write_text(model_to_json(ProximityModel(graph(0), ())))
+    src.write_text(to_json(ProximityModel(graph(0), ())))
     out = tmp_path / "empty.svg"
     assert main(["render", "--in", str(src), "--out", str(out)]) == 0
     svg = out.read_text()
@@ -189,3 +183,81 @@ def test_solve_bisection_over_limit_exits_2(tmp_path, k5_file, capsys):
     capsys.readouterr()
     # the reduced graph has thousands of vertices: enumeration refuses
     assert main(["solve", "--in", str(out), "--bisection"]) == 2
+
+
+def _two_vertex_model(**changes) -> dict:
+    """A valid model JSON on two points one unit apart, with changes applied."""
+    payload = {"scale": 20, "k": 0, "t": 0, "edges": [[0, 1]],
+               "vertices": [{"id": 0, "x": 0, "y": 0, "role": "original"},
+                            {"id": 1, "x": 20, "y": 0, "role": "original"}]}
+    payload.update(changes)
+    return payload
+
+
+def _exits_2_with_one_error_line(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_solve_accepts_the_valid_two_vertex_model(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(_two_vertex_model()))
+    assert main(["solve", "--in", str(src)]) == 0
+    assert "max-cut 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+def test_model_json_top_level_array_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps([_two_vertex_model()]))
+    _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
+
+
+@pytest.mark.parametrize("changes", [{"k": 0.5}, {"t": True}], ids=["k", "t"])
+def test_model_json_non_integer_counts_exit_2(tmp_path, capsys, changes):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(_two_vertex_model(**changes)))
+    _exits_2_with_one_error_line(capsys, ["render", "--in", str(src)])
+
+
+@pytest.mark.parametrize("ids", [(0, 5), (1, 1), (-1, 0)],
+                         ids=["out_of_range", "repeated", "negative"])
+def test_model_json_ids_not_a_permutation_exit_2(tmp_path, capsys, ids):
+    payload = _two_vertex_model()
+    for rec, vid in zip(payload["vertices"], ids):
+        rec["id"] = vid
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
+
+
+@pytest.mark.parametrize("key,value", [("x", 0.5), ("y", 20.0), ("x", True),
+                                       ("y", "0"), ("id", 1.0), ("role", [1])])
+def test_model_json_non_integer_fields_exit_2(tmp_path, capsys, key, value):
+    payload = _two_vertex_model()
+    payload["vertices"][0][key] = value
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    _exits_2_with_one_error_line(capsys, ["render", "--in", str(src)])
+
+
+@pytest.mark.parametrize("edges", [[[0, 0]], [[0, 7]], [[0, 1], [1, 0]],
+                                   [[0, 1], [0, 1]], [[0, 1.0]], [[0, True]]],
+                         ids=["loop", "out_of_range", "reversed_duplicate",
+                              "duplicate", "float_endpoint", "bool_endpoint"])
+def test_model_json_bad_edges_exit_2(tmp_path, capsys, edges):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(_two_vertex_model(edges=edges)))
+    _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
+
+
+def test_solve_validates_model_edges_against_coordinates(tmp_path, capsys):
+    payload = _two_vertex_model()
+    payload["vertices"][1]["x"] = 500   # 25 units apart, yet edge [0, 1] listed
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    err = _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
+    assert "spurious=[(0, 1)]" in err

@@ -14,7 +14,7 @@ from udgcut.graph_core import (complete_graph, cycle_graph, graph,
                                path_graph, random_graph)
 from udgcut.reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
                               ROLE_SUBDIVISION, bisection_double,
-                              load_output_json, model_to_json, recover_mc,
+                              load_output_json, recover_mc,
                               reduce, to_json, validate_reduction)
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
                             max_cut_bruteforce, max_cut_treewidth_dp)
@@ -218,7 +218,7 @@ def test_json_round_trip_and_determinism():
 
 
 def test_model_json_for_standalone_models():
-    text = model_to_json(h_model())
+    text = to_json(h_model())
     loaded = load_output_json(text)
     assert loaded.model.graph.edges == build_H().edges
     assert validate_model(loaded.model).ok

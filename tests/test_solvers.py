@@ -46,13 +46,6 @@ def test_tie_break_is_lexicographically_smallest():
         assert cut.side == min(optima)
 
 
-def test_workers_do_not_change_the_answer():
-    rng = random.Random(47)
-    for _ in range(10):
-        g = random_graph(rng, 14, p=0.5)
-        assert max_cut_bruteforce(g, workers=1) == max_cut_bruteforce(g, workers=3)
-
-
 def test_size_limit_error():
     with pytest.raises(SizeLimitError):
         max_cut_bruteforce(graph(10), limit=9)
