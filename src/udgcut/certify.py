@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import ConstructionError, PreconditionError
 from .gadget import build_H, construct_H_on, h_model
 from .graph_core import (Graph, canon_edge, complete_graph, cycle_graph,
                          format_graph_text, graph, petersen_graph, random_graph)
@@ -118,7 +118,8 @@ def named_instances() -> list[tuple[str, Graph]]:
 
 def check_reduction_identity(seed: int, random_count: int = 20,
                              max_width: int = 12) -> CheckResult:
-    """End-to-end: model validity, precision, and mc(U) - 8k - t = mc(G)."""
+    """End-to-end: reduce (which validates the model and its precision)
+    and mc(U) - 8k - t = mc(G)."""
     name = "reduction identity (8k + t)"
     rng = random.Random(seed)
     cases = named_instances()
@@ -126,16 +127,10 @@ def check_reduction_identity(seed: int, random_count: int = 20,
         cases.append((f"random{i}", random_graph(rng, rng.randint(2, 8),
                                                  p=rng.uniform(0.3, 0.8), max_deg=4)))
     for label, g in cases:
-        r = reduce(g)
-        report = validate_model(r.model)
-        if not report.ok:
-            return _fail(name, f"{label}: invalid model",
-                         {"graph": format_graph_text(g)})
-        if r.result.n >= 2:
-            p2 = precision2(r.model)
-            if p2 < Fraction(1, 2) or (r.k >= 1 and p2 != Fraction(1, 2)):
-                return _fail(name, f"{label}: precision2={p2} with k={r.k}",
-                             {"graph": format_graph_text(g)})
+        try:
+            r = reduce(g)
+        except ConstructionError as exc:
+            return _fail(name, f"{label}: {exc}", {"graph": format_graph_text(g)})
         td = greedy_tree_decomposition(r.result)
         if td.width > max_width:
             return _fail(name, f"{label}: width {td.width} over {max_width}",

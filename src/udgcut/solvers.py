@@ -1,8 +1,9 @@
 """Exact max-cut and max-bisection oracles.
 
 Two routes: exhaustive bitmask enumeration for small graphs (Gray-code
-incremental edge counting), and dynamic programming over a nice tree
-decomposition for the large but thin graphs the reduction produces.
+incremental edge counting), and dynamic programming over a tree
+decomposition, one table per bag and one message per tree edge, for the
+large but thin graphs the reduction produces.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParityError, SizeLimitError, WidthLimitError
-from .graph_core import Cut, Graph, adjacency
+from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
+from .graph_core import Cut, Graph, adjacency, canon_edge
 
 DEFAULT_BRUTE_LIMIT = 26
 DEFAULT_WIDTH_LIMIT = 12
@@ -28,32 +29,6 @@ def _cut_value_of_key(g: Graph, key: int) -> int:
     n = g.n
     return sum(1 for u, v in g.edges
                if ((key >> (n - 1 - u)) ^ (key >> (n - 1 - v))) & 1)
-
-
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
-
-
-def _brute_chunk(g: Graph, nbmask: list[int], deg: list[int],
-                 start: int, stop: int) -> tuple[int, int]:
-    """Best (value, key) over Gray codes of counters in [start, stop)."""
-    n = g.n
-    full = (1 << n) - 1
-    m = _gray(start)
-    val = _cut_value_of_key(g, m)
-    best_val, best_key = val, m
-    for k in range(start + 1, stop):
-        j = (k & -k).bit_length() - 1
-        w = n - 1 - j
-        if (m >> j) & 1:
-            differing = nbmask[w] & (full ^ m)
-        else:
-            differing = nbmask[w] & m
-        val += deg[w] - 2 * differing.bit_count()
-        m ^= 1 << j
-        if val > best_val or (val == best_val and m < best_key):
-            best_val, best_key = val, m
-    return best_val, best_key
 
 
 def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
@@ -75,7 +50,20 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int,
         nbmask[v] |= 1 << (n - 1 - u)
         deg[u] += 1
         deg[v] += 1
-    best_val, best_key = _brute_chunk(g, nbmask, deg, 0, 1 << (n - 1))
+    # Gray code k flips bit j of the key, the lowest set bit of k
+    full = (1 << n) - 1
+    m = val = best_val = best_key = 0
+    for k in range(1, 1 << (n - 1)):
+        j = (k & -k).bit_length() - 1
+        w = n - 1 - j
+        if (m >> j) & 1:
+            differing = nbmask[w] & (full ^ m)
+        else:
+            differing = nbmask[w] & m
+        val += deg[w] - 2 * differing.bit_count()
+        m ^= 1 << j
+        if val > best_val or (val == best_val and m < best_key):
+            best_val, best_key = val, m
     return best_val, Cut(_side_tuple(best_key, n), best_val)
 
 
@@ -222,153 +210,92 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     return problems
 
 
-# -- nice decomposition and the cut DP -----------------------------------------
-
-_LEAF, _INTRODUCE, _FORGET, _JOIN = range(4)
+# -- the cut DP -----------------------------------------------------------------
 
 
-def _build_nice_nodes(td: TreeDecomposition):
-    """Linearize the rooted decomposition into post-ordered nice nodes.
-
-    Each node is (kind, bag_tuple, payload); payloads point at child node
-    indices so the DP can run as one flat pass.
-    """
-    nbags = len(td.bags)
-    tree_adj: dict[int, set[int]] = {i: set() for i in range(nbags)}
-    for i, j in td.tree:
-        tree_adj[i].add(j)
-        tree_adj[j].add(i)
-
-    nodes: list[tuple] = []
-
-    def chain_from_empty(bag: tuple[int, ...]) -> int:
-        idx = len(nodes)
-        nodes.append((_LEAF, (), None))
-        cur = ()
-        for v in bag:
-            cur = tuple(sorted(cur + (v,)))
-            nodes.append((_INTRODUCE, cur, (idx, v)))
-            idx = len(nodes) - 1
-        return idx
-
-    def morph(child_idx: int, child_bag: tuple[int, ...], bag: tuple[int, ...]) -> int:
-        cur = child_bag
-        idx = child_idx
-        for v in child_bag:
-            if v not in bag:
-                cur = tuple(x for x in cur if x != v)
-                nodes.append((_FORGET, cur, (idx, v)))
-                idx = len(nodes) - 1
-        for v in bag:
-            if v not in cur:
-                cur = tuple(sorted(cur + (v,)))
-                nodes.append((_INTRODUCE, cur, (idx, v)))
-                idx = len(nodes) - 1
-        return idx
-
-    # iterative post-order over the rooted bag tree (root = bag 0)
-    parent = {0: -1}
-    post: list[int] = []
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        post.append(x)
-        for y in tree_adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                stack.append(y)
-    post.reverse()
-
-    result_idx: dict[int, int] = {}
-    for x in post:
-        bag = tuple(sorted(td.bags[x]))
-        child_results = [result_idx[y] for y in tree_adj[x] if y != parent[x]]
-        if not child_results:
-            result_idx[x] = chain_from_empty(bag)
-            continue
-        morphed = []
-        for ci in child_results:
-            morphed.append(morph(ci, nodes[ci][1], bag))
-        acc = morphed[0]
-        for other in morphed[1:]:
-            nodes.append((_JOIN, bag, (acc, other)))
-            acc = len(nodes) - 1
-        result_idx[x] = acc
-
-    root = result_idx[0]
-    root_bag = nodes[root][1]
-    cur = root_bag
-    idx = root
-    for v in root_bag:
-        cur = tuple(x for x in cur if x != v)
-        nodes.append((_FORGET, cur, (idx, v)))
-        idx = len(nodes) - 1
-    return nodes, idx
+def _projection(bag: list[int], onto: list[int]) -> list[int]:
+    """For each side mask over bag, the index of its restriction to onto."""
+    bits = {v: 1 << j for j, v in enumerate(onto)}
+    proj = [0]
+    for v in bag:
+        bit = bits.get(v, 0)
+        proj += [p + bit for p in proj]
+    return proj
 
 
 def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                          max_width: int = DEFAULT_WIDTH_LIMIT) -> int:
-    """Exact mc(g) by DP over bag side-assignments of a nice decomposition.
+    """Exact mc(g) by DP over the side assignments of each bag.
 
-    Edges between a newly introduced vertex and its bag are credited at the
-    introduce node; join nodes subtract the doubly counted bag-internal cut.
+    The tree is rooted at bag 0 and its bags are visited in post-order; a
+    vertex is forgotten at the highest bag that holds it.  Each edge is
+    credited to the bag that forgets its first-forgotten endpoint, which
+    holds both endpoints.  A bag's table holds, per side mask of the bag,
+    the best cut of the edges credited in its subtree; it sends its parent
+    the max over the forgotten vertices.  Raises InputError when the tree
+    does not reach every bag from bag 0, when the bags holding a vertex are
+    not connected, or when an edge lies in no bag.
     """
     if td is None:
         td = greedy_tree_decomposition(g)
     if td.width > max_width:
         raise WidthLimitError(f"decomposition width {td.width} exceeds {max_width}")
     adj = adjacency(g)
-    nodes, root = _build_nice_nodes(td)
+    tree_adj: list[list[int]] = [[] for _ in td.bags]
+    for i, j in td.tree:
+        tree_adj[i].append(j)
+        tree_adj[j].append(i)
+    parent = {0: -1} if td.bags else {}
+    order = []
+    stack = list(parent)
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in tree_adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    if len(order) != len(td.bags):
+        raise InputError("decomposition tree does not reach every bag from bag 0")
 
-    tables: dict[int, list[int]] = {}
-    for idx, (kind, bag, payload) in enumerate(nodes):
-        if kind == _LEAF:
-            tables[idx] = [0]
-            continue
-        if kind == _INTRODUCE:
-            child_idx, v = payload
-            child = tables[child_idx]
-            b = len(bag)
-            p = bag.index(v)
+    forgotten: set[int] = set()
+    # the root sends its best cut to -1; with no bags the empty cut stands
+    inbox: dict[int, list[tuple[list[int], list[int]]]] = {-1: [([], [0])]}
+    for x in reversed(order):
+        up = td.bags[parent[x]] if parent[x] >= 0 else frozenset()
+        shared = sorted(td.bags[x] & up)
+        gone = sorted(td.bags[x] - up)
+        bag = shared + gone
+        pos = {v: i for i, v in enumerate(bag)}
+        # shared vertices hold the low bits, forgotten ones the high bits
+        table = [0] * (1 << len(shared))
+        for i, v in enumerate(gone, len(shared)):
+            if v in forgotten:
+                raise InputError(f"bags holding vertex {v} are not connected")
             nbm = 0
-            for i, u in enumerate(bag):
-                if u != v and u in adj[v]:
-                    nbm |= 1 << i
-            low = (1 << p) - 1
-            table = [0] * (1 << b)
-            for mask in range(1 << b):
-                cm = ((mask >> (p + 1)) << p) | (mask & low)
-                if (mask >> p) & 1:
-                    differing = nbm & ~mask
-                else:
-                    differing = nbm & mask
-                table[mask] = child[cm] + differing.bit_count()
-            tables[idx] = table
-            del tables[child_idx]
-            continue
-        if kind == _FORGET:
-            child_idx, v = payload
-            child = tables[child_idx]
-            child_bag = nodes[child_idx][1]
-            p = child_bag.index(v)
-            low = (1 << p) - 1
-            table = [0] * (1 << len(bag))
-            for mask in range(1 << len(bag)):
-                expanded = ((mask & ~low) << 1) | (mask & low)
-                table[mask] = max(child[expanded], child[expanded | (1 << p)])
-            tables[idx] = table
-            del tables[child_idx]
-            continue
-        # join
-        left_idx, right_idx = payload
-        left, right = tables[left_idx], tables[right_idx]
-        pairs = [(i, j) for i in range(len(bag)) for j in range(i + 1, len(bag))
-                 if bag[j] in adj[bag[i]]]
-        table = [0] * (1 << len(bag))
-        for mask in range(1 << len(bag)):
-            inner = sum(1 for i, j in pairs if ((mask >> i) ^ (mask >> j)) & 1)
-            table[mask] = left[mask] + right[mask] - inner
-        tables[idx] = table
-        del tables[left_idx], tables[right_idx]
-
-    return tables[root][0]
+            for u in adj[v]:
+                j = pos.get(u)
+                if j is None:
+                    if u not in forgotten:
+                        raise InputError(f"edge {canon_edge(u, v)} is not in bag {x}, "
+                                         f"where vertex {v} is forgotten")
+                elif j < i:
+                    nbm |= 1 << j
+            if nbm:
+                crossing = [(m & nbm).bit_count() for m in range(len(table))]
+                k = nbm.bit_count()
+                table = ([t + c for t, c in zip(table, crossing)]
+                         + [t + k - c for t, c in zip(table, crossing)])
+            else:
+                table += table
+        forgotten.update(gone)
+        for onto, msg in inbox.pop(x, ()):
+            table = [t + msg[p] for t, p in zip(table, _projection(bag, onto))]
+        while len(table) > 1 << len(shared):
+            half = len(table) // 2
+            table = list(map(max, table[:half], table[half:]))
+        inbox.setdefault(parent[x], []).append((shared, table))
+    stray = [e for e in g.edges if e[0] not in forgotten]
+    if stray:
+        raise InputError(f"edge {min(stray)} lies in no bag")
+    return max(msg[0] for _, msg in inbox[-1])

@@ -97,20 +97,12 @@ def precision2(m: ProximityModel) -> Fraction:
     n = len(pts)
     if n < 2:
         raise UndefinedPrecisionError("precision needs at least two points")
-    if n <= 64:
+    # the pairs within one mesh unit, when there are any, include the closest
+    best = min((dist2_units(pts[i], pts[j])
+                for i, j in _pairs_within(pts, ONE_DIST2_UNITS)), default=None)
+    if best is None:
         best = min(dist2_units(pts[i], pts[j])
                    for i in range(n) for j in range(i + 1, n))
-        return Fraction(best, ONE_DIST2_UNITS)
-    best = None
-    for i, j in _pairs_within(pts, ONE_DIST2_UNITS):
-        d = dist2_units(pts[i], pts[j])
-        if best is None or d < best:
-            best = d
-    if best is not None:
-        return Fraction(best, ONE_DIST2_UNITS)
-    # no pair within one mesh unit: fall back to the exact quadratic scan
-    best = min(dist2_units(pts[i], pts[j])
-               for i in range(n) for j in range(i + 1, n))
     return Fraction(best, ONE_DIST2_UNITS)
 
 

@@ -177,6 +177,26 @@ def test_certify_failure_prints_counterexample(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+def test_certify_reports_a_construction_error_with_the_graph(capsys, monkeypatch):
+    import udgcut.certify as certify_mod
+    from udgcut.errors import ConstructionError
+
+    def failing_reduce(g):
+        raise ConstructionError("model invalid: planted on purpose")
+
+    monkeypatch.setattr(certify_mod, "reduce", failing_reduce)
+    res = certify_mod.check_reduction_identity(seed=0, random_count=0)
+    assert not res.ok
+    assert "planted on purpose" in res.detail
+    assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
+    rc = main(["certify", "--subdivisions", "0", "--gadgets", "0", "--reductions", "0",
+               "--models", "0", "--oracle", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL reduction identity" in out
+    assert "counterexample" in out
+
+
 def test_solve_bisection_over_limit_exits_2(tmp_path, k5_file, capsys):
     out = tmp_path / "k5.json"
     assert main(["reduce", "--in", k5_file, "--out", str(out)]) == 0

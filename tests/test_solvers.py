@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from udgcut.errors import ParityError, SizeLimitError, WidthLimitError
+from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from udgcut.graph_core import (complete_graph, cut_size, cycle_graph,
-                               disjoint_union, graph, path_graph, random_graph)
-from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
-                            max_cut_bruteforce, max_cut_treewidth_dp,
-                            validate_tree_decomposition)
+                               disjoint_union, graph, path_graph, petersen_graph,
+                               random_graph)
+from udgcut.solvers import (TreeDecomposition, greedy_tree_decomposition,
+                            max_bisection_bruteforce, max_cut_bruteforce,
+                            max_cut_treewidth_dp, validate_tree_decomposition)
 
 
 def test_complete_graph_cuts_match_closed_form():
@@ -137,5 +138,70 @@ def test_dp_on_structured_families():
     rim_edges = [(1 + i, 1 + (i + 1) % 5) for i in range(5)]
     wheel = graph(6, hub_edges + rim_edges)
     assert max_cut_treewidth_dp(wheel) == max_cut_bruteforce(wheel)[0] == 7
-    from udgcut.graph_core import petersen_graph
     assert max_cut_treewidth_dp(petersen_graph()) == 12
+
+
+def test_dp_on_empty_and_single_vertex_graphs():
+    assert max_cut_treewidth_dp(graph(0)) == 0
+    assert max_cut_treewidth_dp(graph(1)) == 0
+
+
+def test_dp_on_a_hand_built_path_decomposition():
+    # sliding windows of 5 consecutive ids hold every edge v-(v+1) and v-(v+4)
+    grid = _grid_graph(3, 4)
+    windows = [frozenset(range(i, i + 5)) for i in range(8)]
+    td = TreeDecomposition(windows, [(i, i + 1) for i in range(7)])
+    assert validate_tree_decomposition(grid, td) == []
+    assert td.width == 4 > greedy_tree_decomposition(grid).width
+    assert max_cut_treewidth_dp(grid, td) == 17
+
+
+def _rerooted(td, r):
+    """td with bag indices 0 and r swapped, so that bag r becomes the root."""
+    swap = {0: r, r: 0}
+    bags = list(td.bags)
+    bags[0], bags[r] = bags[r], bags[0]
+    tree = [(swap.get(i, i), swap.get(j, j)) for i, j in td.tree]
+    return TreeDecomposition(bags, tree)
+
+
+def test_dp_answer_does_not_depend_on_the_root_bag():
+    g = petersen_graph()
+    td = greedy_tree_decomposition(g)
+    degree = [sum(b in e for e in td.tree) for b in range(len(td.bags))]
+    assert 1 in degree and max(degree) >= 3
+    for r in range(len(td.bags)):
+        rerooted = _rerooted(td, r)
+        assert validate_tree_decomposition(g, rerooted) == []
+        assert max_cut_treewidth_dp(g, rerooted) == 12
+
+
+def test_dp_rejects_a_tree_that_misses_a_bag():
+    two_edges = graph(4, [(0, 1), (2, 3)])
+    td = TreeDecomposition([frozenset({0, 1}), frozenset({2, 3})], [])
+    assert validate_tree_decomposition(two_edges, td) != []
+    with pytest.raises(InputError, match="every bag"):
+        max_cut_treewidth_dp(two_edges, td)
+
+
+def test_dp_rejects_an_edge_in_no_bag():
+    two_edges = graph(4, [(0, 1), (2, 3)])
+    td = TreeDecomposition([frozenset({0, 1})], [])
+    with pytest.raises(InputError, match=r"edge \(2, 3\)"):
+        max_cut_treewidth_dp(two_edges, td)
+    # the uncovered edge meets a vertex that some bag does hold
+    path = path_graph(3)
+    td = TreeDecomposition([frozenset({0, 1}), frozenset({2})], [(0, 1)])
+    with pytest.raises(InputError, match=r"edge \(1, 2\)"):
+        max_cut_treewidth_dp(path, td)
+
+
+def test_dp_rejects_disconnected_bags_of_a_vertex():
+    # vertex 0 sits in bags 0 and 2 but not in bag 1 between them; counting
+    # each of its two bags would credit the one edge twice
+    edge = graph(2, [(0, 1)])
+    td = TreeDecomposition([frozenset({0, 1}), frozenset({1}), frozenset({0, 1})],
+                           [(0, 1), (1, 2)])
+    assert validate_tree_decomposition(edge, td) != []
+    with pytest.raises(InputError, match="vertex 0 are not connected"):
+        max_cut_treewidth_dp(edge, td)

@@ -7,7 +7,7 @@ import pytest
 
 from udgcut.errors import InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
-from udgcut.geometry import Point
+from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2_units
 from udgcut.graph_core import Graph, graph
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
                               PLANAR_BY_THEOREM, ProximityModel, conflict_gap2,
@@ -55,6 +55,19 @@ def test_precision2_examples():
     assert precision2(m) == 100
     with pytest.raises(UndefinedPrecisionError):
         precision2(ProximityModel(graph(1), (Point.mesh(0, 0),)))
+
+
+def test_precision2_is_the_closest_pair():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(2, 90)
+        box = rng.choice([2, 10, 200]) * 20
+        pts = tuple({Point(rng.randrange(box), rng.randrange(box)) for _ in range(n)})
+        if len(pts) < 2:
+            continue
+        closest = min(dist2_units(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        m = ProximityModel(graph(len(pts)), pts)
+        assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
 
 
 def test_straight_line_crossings_of_h_model():
