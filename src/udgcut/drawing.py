@@ -388,12 +388,12 @@ class StandardReport:
                 and self.vertex_crossing_ok and self.parallel_lines_ok)
 
 
-def validate_standard(d: MeshDrawing) -> StandardReport:
+def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport:
     """Check conditions: (i) crossing-crossing, (ii) vertex-vertex,
     (iii) vertex-crossing distances >= 10, and (iv) distinct parallel carrier
     lines >= 10 apart (checked for every pair of occupied carrier lines,
-    including two lines used by the same edge)."""
-    xs = [c.point for c in crossings(d)]
+    including two lines used by the same edge).  xreport is crossings(d)."""
+    xs = [c.point for c in xreport]
     vs = sorted(d.placement.values())
     report = StandardReport(True, True, True, True)
 

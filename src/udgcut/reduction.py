@@ -114,10 +114,10 @@ def reduce(g: Graph) -> ReductionOutput:
     problems = validate_drawing(drawn)
     if problems:
         raise ConstructionError(f"standardized drawing invalid: {problems[:3]}")
-    report = validate_standard(drawn)
+    xreport = crossings(drawn)
+    report = validate_standard(drawn, xreport)
     if not report.ok:
         raise ConstructionError(f"standardization failed: {report.witnesses}")
-    xreport = crossings(drawn)
 
     b = _Builder(g.n)
     for v in range(g.n):

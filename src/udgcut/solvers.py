@@ -106,21 +106,36 @@ class TreeDecomposition:
 def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from a min-fill elimination ordering.
 
-    Uses a lazy heap keyed by (fill, degree, id); on pop the fill count is
-    recomputed and stale entries are pushed back, so each elimination touches
-    only the local neighborhood.
+    Uses a lazy heap keyed by (fill, degree, id): a popped entry that differs
+    from the vertex's current key is pushed back with the current key.
+    Each vertex's exact key is cached, and the cache entry is cleared only
+    where the key can change: at the neighbours of an eliminated vertex,
+    which are recomputed and pushed at once, and at the common neighbours
+    of the two ends of each fill edge, whose fill just dropped and is
+    recomputed when they are next popped.  A key equal to the last one
+    pushed for its vertex is still in the heap, so it is not pushed again.
     """
     n = g.n
     if n == 0:
         return TreeDecomposition([frozenset()], [])
     adj = adjacency(g)
 
-    def fill_count(v: int) -> int:
-        nbrs = list(adj[v])
-        return sum(1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-                   if nbrs[j] not in adj[nbrs[i]])
+    def key(v: int) -> tuple[int, int, int]:
+        nbrs = adj[v]
+        deg = len(nbrs)
+        if deg <= 1:
+            return 0, deg, v
+        if deg == 2:
+            a, b = nbrs
+            return (0 if b in adj[a] else 1), 2, v
+        links = 0  # twice the number of edges among the neighbours
+        for a in nbrs:
+            links += len(adj[a] & nbrs)
+        return (deg * (deg - 1) - links) // 2, deg, v
 
-    heap = [(fill_count(v), len(adj[v]), v) for v in range(n)]
+    keys: list[tuple[int, int, int] | None] = [key(v) for v in range(n)]
+    pushed = list(keys)
+    heap = list(keys)
     heapq.heapify(heap)
     eliminated = [False] * n
     order: list[int] = []
@@ -128,30 +143,37 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     bags: list[frozenset[int]] = []
     bag_neighbors: list[set[int]] = []
     while len(order) < n:
-        fill, deg, v = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        v = entry[2]
         if eliminated[v]:
             continue
-        actual = (fill_count(v), len(adj[v]))
-        if actual != (fill, deg):
-            heapq.heappush(heap, (actual[0], actual[1], v))
+        current = keys[v]
+        if current is None:
+            current = keys[v] = key(v)
+        if current != entry:
+            if current != pushed[v]:
+                pushed[v] = current
+                heapq.heappush(heap, current)
             continue
         elim_index[v] = len(order)
         order.append(v)
         eliminated[v] = True
-        nbrs = set(adj[v])
+        nbrs = adj[v]  # no longer changes: v has left every other set
         bags.append(frozenset({v} | nbrs))
         bag_neighbors.append(nbrs)
         for a in nbrs:
             adj[a].discard(v)
-        nb_list = sorted(nbrs)
-        for i in range(len(nb_list)):
-            for j in range(i + 1, len(nb_list)):
-                a, b = nb_list[i], nb_list[j]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
+        for a, b in combinations(sorted(nbrs), 2):
+            if b not in adj[a]:
+                for w in adj[a] & adj[b]:
+                    keys[w] = None
+                adj[a].add(b)
+                adj[b].add(a)
         for a in nbrs:
-            heapq.heappush(heap, (fill_count(a), len(adj[a]), a))
+            k = keys[a] = key(a)
+            if k != pushed[a]:
+                pushed[a] = k
+                heapq.heappush(heap, k)
 
     # Connect each bag to the bag of its earliest-eliminated remaining
     # neighbor; bags with no remaining neighbor attach to the next bag.

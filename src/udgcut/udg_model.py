@@ -45,21 +45,32 @@ def _pairs_within(points: tuple[Point, ...], limit_units2: int):
     """All index pairs (i < j) with dist2_units <= limit_units2.
 
     Bucket width is one mesh unit; a query of radius r mesh units scans the
-    ceil(r) surrounding rings of buckets.
+    ceil(r) surrounding rings of buckets.  Each unordered pair of buckets is
+    scanned once: a bucket with itself, and with the neighbours at offsets
+    (dx, dy) > (0, 0).
     """
     radius_units = isqrt(max(limit_units2 - 1, 0)) + 1
     rings = (radius_units + SCALE - 1) // SCALE
+    offsets = [(dx, dy) for dx in range(-rings, rings + 1)
+               for dy in range(-rings, rings + 1) if (dx, dy) > (0, 0)]
     buckets = _grid_buckets(points)
     for (bx, by), members in buckets.items():
-        for dx in range(-rings, rings + 1):
-            for dy in range(-rings, rings + 1):
-                other = buckets.get((bx + dx, by + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if i < j and dist2_units(points[i], points[j]) <= limit_units2:
-                            yield i, j
+        for a, i in enumerate(members):
+            xi, yi = points[i]
+            for j in members[a + 1:]:  # members ascend, so i < j
+                xj, yj = points[j]
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit_units2:
+                    yield i, j
+        for dx, dy in offsets:
+            other = buckets.get((bx + dx, by + dy))
+            if other is None:
+                continue
+            for i in members:
+                xi, yi = points[i]
+                for j in other:
+                    xj, yj = points[j]
+                    if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit_units2:
+                        yield (i, j) if i < j else (j, i)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from udgcut.solvers import (max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp)
 from udgcut.udg_model import (conflict_gap2, precision2, random_precise_model,
                               straight_line_crossings, validate_model)
-from udgcut.drawing import mesh_draw, standardize, validate_drawing, validate_standard
+from udgcut.drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
 
 
 def _report(number: int, text: str):
@@ -161,7 +161,7 @@ def test_criterion_10_drawing_validity_and_idempotence():
         assert validate_drawing(d) == []
         sd = standardize(d)
         assert validate_drawing(sd) == []
-        report = validate_standard(sd)
+        report = validate_standard(sd, crossings(sd))
         assert report.ok, report.witnesses
         again = standardize(sd)
         assert again.placement == sd.placement and again.routes == sd.routes

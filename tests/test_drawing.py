@@ -101,7 +101,7 @@ def test_standardize_satisfies_all_conditions():
         g = random_graph(rng, rng.randint(2, 12), p=0.4, max_deg=4)
         d = standardize(mesh_draw(g))
         assert validate_drawing(d) == []
-        report = validate_standard(d)
+        report = validate_standard(d, crossings(d))
         assert report.ok, report.witnesses
 
 
@@ -142,7 +142,7 @@ def test_validate_standard_flags_close_crossings():
     }
     d = MeshDrawing(g, placement, routes)
     assert validate_drawing(d) == []
-    report = validate_standard(d)
+    report = validate_standard(d, crossings(d))
     assert not report.crossing_pairs_ok
     pts = {p for p in report.witnesses["crossing_pairs"]}
     assert pts == {Point.mesh(0, 0), Point.mesh(4, 0)}
@@ -158,7 +158,7 @@ def test_validate_standard_flags_vertex_near_crossing():
               (2, 3): (placement[2], placement[3])}
     d = MeshDrawing(g, placement, routes)
     assert validate_drawing(d) == []
-    report = validate_standard(d)
+    report = validate_standard(d, crossings(d))
     assert not report.vertex_crossing_ok
     witness_vertex, witness_crossing = report.witnesses["vertex_crossing"]
     assert witness_crossing == Point.mesh(0, 0)

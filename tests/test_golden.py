@@ -1,8 +1,10 @@
-"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits is
-pinned, so a change to how the reduction is built cannot change its output
-by a single byte without this file changing too."""
+"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits, and of
+the min-fill tree decomposition of that model, are pinned, so a change to how
+the reduction or the decomposition is built cannot change its output by a
+single byte without this file changing too."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -11,22 +13,31 @@ from udgcut.gadget import h_model
 from udgcut.graph_core import (complete_graph, cycle_graph, graph, petersen_graph,
                                random_graph)
 from udgcut.reduction import reduce, to_json
+from udgcut.solvers import greedy_tree_decomposition
 from udgcut.udg_model import ProximityModel
 
+# label: (graph, SHA-256 of to_json(reduce(g)), SHA-256 of
+# greedy_tree_decomposition(reduce(g).result))
 GOLDEN = {
     "K4": (lambda: complete_graph(4),
-           "6d0792d2a895d6769cb87df8cd0743fe4821a17f0cdb359bf615e0d274210a69"),
+           "6d0792d2a895d6769cb87df8cd0743fe4821a17f0cdb359bf615e0d274210a69",
+           "5ab52880d49561f23adb19f9f7738a256bb9b774068a6ddb526dfdb0ad75f620"),
     "K5": (lambda: complete_graph(5),
-           "888ddbb1c0fbe20909a07a3140be598443db8238707bc2d2c73ae0b43a88d6a3"),
+           "888ddbb1c0fbe20909a07a3140be598443db8238707bc2d2c73ae0b43a88d6a3",
+           "9005f7fce1969e6ca9fe34ebc515383d2b3ee357532987bab8607e080ff9a680"),
     "C5": (lambda: cycle_graph(5),
-           "e543c53ba15d2f45af3dabd1d6166a4a130698c81d7c256c0963bac13592d828"),
+           "e543c53ba15d2f45af3dabd1d6166a4a130698c81d7c256c0963bac13592d828",
+           "fbf5a7e477e51515975f736b61cea306d0a413608120534a9e099734e00058bd"),
     "Petersen": (petersen_graph,
-                 "0422e2bab32e963dc9b71d780a3762caa9884be3b87526c25a991a11e8a83dd0"),
+                 "0422e2bab32e963dc9b71d780a3762caa9884be3b87526c25a991a11e8a83dd0",
+                 "84dd703b8cd125d4644112d31e7f7f1a9e6d2a78bc055cdfeb777155ad88b100"),
     "random8": (lambda: random_graph(random.Random(8), 8, 0.5, 4),
-                "40e536f39f8a778cbbda359994413444c5eb36294987e4b6ce858ce513a6ae81"),
+                "40e536f39f8a778cbbda359994413444c5eb36294987e4b6ce858ce513a6ae81",
+                "d815f0b87b29c294990638d93e4133a1d495d2ca788831966ef41c6ecfdd6548"),
     # k = 93 crossings, N = 11 606 model vertices
     "random16": (lambda: random_graph(random.Random(16), 16, 0.5, 4),
-                 "2cded4e3a888302e70092f9a52aca45ca1d4e7e8a9bd9110d3145d95efe9f29b"),
+                 "2cded4e3a888302e70092f9a52aca45ca1d4e7e8a9bd9110d3145d95efe9f29b",
+                 "3aa1b5bdc141ab2c69a44758744cd7f8e6d231dab2414a05c3f9a6e907dcad0a"),
 }
 
 
@@ -34,10 +45,28 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _td_json(td) -> str:
+    return json.dumps({"bags": [sorted(b) for b in td.bags],
+                       "tree": [list(e) for e in td.tree]}, separators=(",", ":"))
+
+
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_reduce_output_is_byte_identical(label):
-    make, digest = GOLDEN[label]
-    assert _sha256(to_json(reduce(make()))) == digest
+    make, digest, td_digest = GOLDEN[label]
+    out = reduce(make())
+    assert _sha256(to_json(out)) == digest
+    assert _sha256(_td_json(greedy_tree_decomposition(out.result))) == td_digest
+
+
+def test_decompositions_of_random_graphs_are_identical():
+    running = hashlib.sha256()
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, p=rng.random(), max_deg=rng.choice([2, 3, 4, 8]))
+        running.update(_td_json(greedy_tree_decomposition(g)).encode("utf-8"))
+    assert running.hexdigest() == (
+        "d00efe9217bbe260a0afc202ec1884b04a7e22ff7c6f4d173dc764efd1c797b9")
 
 
 def test_bare_model_json_is_byte_identical():

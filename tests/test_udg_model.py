@@ -7,12 +7,13 @@ import pytest
 
 from udgcut.errors import InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
-from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2_units
+from udgcut.geometry import HALF_DIST2_UNITS, ONE_DIST2_UNITS, Point, dist2_units
 from udgcut.graph_core import Graph, graph
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
-                              PLANAR_BY_THEOREM, ProximityModel, conflict_gap2,
-                              planarity_verdict, precision2, random_precise_model,
-                              straight_line_crossings, validate_model)
+                              PLANAR_BY_THEOREM, ProximityModel, _pairs_within,
+                              conflict_gap2, planarity_verdict, precision2,
+                              random_precise_model, straight_line_crossings,
+                              validate_model)
 
 
 def test_h_model_validates():
@@ -47,6 +48,11 @@ def test_coincident_points_rejected():
     m = ProximityModel(graph(2, [(0, 1)]), (Point.mesh(0, 0), Point.mesh(0, 0)))
     with pytest.raises(InputError):
         validate_model(m)
+    # apart in index order, on a bucket corner at negative coordinates
+    pts = (Point.mesh(-1, -1), Point.mesh(0, 0), Point.mesh(-1, -1))
+    m = ProximityModel(graph(3, [(0, 1), (0, 2), (1, 2)]), pts)
+    with pytest.raises(InputError, match="vertices 0 and 2"):
+        validate_model(m)
 
 
 def test_precision2_examples():
@@ -59,15 +65,29 @@ def test_precision2_examples():
 
 def test_precision2_is_the_closest_pair():
     rng = random.Random(71)
+    inputs = []
     for _ in range(40):
         n = rng.randint(2, 90)
         box = rng.choice([2, 10, 200]) * 20
-        pts = tuple({Point(rng.randrange(box), rng.randrange(box)) for _ in range(n)})
+        inputs.append(tuple({Point(rng.randrange(box), rng.randrange(box))
+                             for _ in range(n)}))
+    # Negative coordinates, points on bucket boundaries (multiples of one
+    # mesh unit), and pairs at exactly 1/sqrt(2) and 1, within one bucket
+    # and across buckets: (-40, -40) to (-28, -24) is 12, 16 units.
+    lattice = [Point(x, y) for x in range(-40, 21, 10) for y in range(-40, 21, 10)]
+    inputs.append(tuple(lattice + [Point(-28, -24), Point(-21, 19), Point(-1, -1)]))
+    for pts in inputs:
         if len(pts) < 2:
             continue
         closest = min(dist2_units(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
         m = ProximityModel(graph(len(pts)), pts)
         assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
+        for limit in (HALF_DIST2_UNITS, ONE_DIST2_UNITS):
+            found = list(_pairs_within(pts, limit))
+            assert len(found) == len(set(found))
+            assert set(found) == {(i, j) for i in range(len(pts))
+                                  for j in range(i + 1, len(pts))
+                                  if dist2_units(pts[i], pts[j]) <= limit}
 
 
 def test_straight_line_crossings_of_h_model():
