@@ -1,16 +1,18 @@
 """Exact max-cut and max-bisection oracles.
 
-Two routes: exhaustive bitmask enumeration for small graphs (Gray-code
-incremental edge counting), and dynamic programming over a tree
-decomposition, one table per bag and one message per tree edge, for the
-large but thin graphs the reduction produces.
+Two routes: exhaustive enumeration of side vectors for small graphs, which
+splits the vertices into a high and a low block and scores every low-block
+completion of one high-block assignment as one list, and dynamic programming
+over a tree decomposition, one table per bag and one message per tree edge,
+for the large but thin graphs the reduction produces.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from .graph_core import Cut, Graph, adjacency, canon_edge
@@ -25,17 +27,82 @@ def _side_tuple(key: int, n: int) -> tuple[int, ...]:
     return tuple((key >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _cut_value_of_key(g: Graph, key: int) -> int:
+def _with_vertex(table: list[int], nbm: int) -> list[int]:
+    """A cut table over side masks extended by one more vertex as the new
+    top bit; nbm masks its neighbours among the vertices already in."""
+    if not nbm:
+        return table + table
+    crossing = [(m & nbm).bit_count() for m in range(len(table))]
+    k = nbm.bit_count()
+    return ([t + c for t, c in zip(table, crossing)]
+            + [t + k - c for t, c in zip(table, crossing)])
+
+
+def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
+    """The best cut and the smallest key that reaches it, over the keys
+    with vertex 0 on side 0 and, unless ones is None, exactly ones vertices
+    on side 1.
+
+    The low l = min(n // 2, DEFAULT_BRUTE_LIMIT // 2) key bits hold the low
+    block, the last l vertices; the other bits hold the high block.  For
+    each high mask, in ascending order, the cuts of all its completions are
+    scored as one list: the low block's own cut, which does not depend on
+    the high mask, plus each low vertex's share of its edges to the high
+    block.  No list is longer than 2^l, whatever n is.
+    """
     n = g.n
-    return sum(1 for u, v in g.edges
-               if ((key >> (n - 1 - u)) ^ (key >> (n - 1 - v))) & 1)
+    low = min(n // 2, DEFAULT_BRUTE_LIMIT // 2)
+    high = n - low
+    nbmask = [0] * n
+    for u, v in g.edges:
+        nbmask[u] |= 1 << (n - 1 - v)
+        nbmask[v] |= 1 << (n - 1 - u)
+    # low mask bit b holds vertex n-1-b; high mask bit b holds vertex high-1-b
+    low_cut = [0]
+    for b in range(low):
+        low_cut = _with_vertex(low_cut, nbmask[n - 1 - b] & ((1 << b) - 1))
+    high_nbs = [(1 << (high - 1 - u), nbmask[u] >> low) for u in range(high)]
+    low_nbs = [(nb, nb.bit_count()) for nb in (nbmask[n - 1 - b] >> low for b in range(low))]
+    if ones is not None:
+        # the low masks of each popcount, ascending, and their low cuts
+        by_ones: list[list[int]] = [[] for _ in range(low + 1)]
+        for m in range(1 << low):
+            by_ones[m.bit_count()].append(m)
+        cut_by_ones = [[low_cut[m] for m in masks] for masks in by_ones]
+    best_val = best_key = -1
+    for mh in range(1 << (high - 1)):
+        if ones is not None:
+            r = ones - mh.bit_count()
+            if not 0 <= r <= low:
+                continue
+        # a cut edge inside the high block is counted at its side-0 end
+        val = sum((nb & mh).bit_count() for bit, nb in high_nbs if not mh & bit)
+        # a low vertex on side 0 cuts its c high neighbours on side 1, and
+        # on side 1 it cuts deg - c; gains[m] sums the deg - 2c of mask m
+        gains = [0]
+        for nb, deg in low_nbs:
+            c = (nb & mh).bit_count()
+            val += c
+            # repeat() stops the map at the entries gains had before
+            gains += map(add, gains, repeat(deg - 2 * c, len(gains)))
+        if ones is None:
+            scores = list(map(add, low_cut, gains))
+        else:
+            scores = list(map(add, cut_by_ones[r], map(gains.__getitem__, by_ones[r])))
+        top = max(scores)
+        if val + top > best_val:
+            best_val = val + top
+            i = scores.index(top)
+            best_key = mh << low | (i if ones is None else by_ones[r][i])
+    return best_val, best_key
 
 
 def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
     """Exact maximum cut by enumerating all 2^(n-1) side vectors.
 
     Vertex 0 is fixed to side 0; ties break toward the lexicographically
-    smallest side vector.
+    smallest side vector.  Memory stays within lists of
+    2^(DEFAULT_BRUTE_LIMIT // 2) entries, so a larger limit costs time only.
     """
     n = g.n
     if n > limit:
@@ -43,32 +110,17 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int,
             f"n={n} exceeds brute-force limit {limit}; use max_cut_treewidth_dp")
     if n == 0:
         return 0, Cut((), 0)
-    nbmask = [0] * n
-    deg = [0] * n
-    for u, v in g.edges:
-        nbmask[u] |= 1 << (n - 1 - v)
-        nbmask[v] |= 1 << (n - 1 - u)
-        deg[u] += 1
-        deg[v] += 1
-    # Gray code k flips bit j of the key, the lowest set bit of k
-    full = (1 << n) - 1
-    m = val = best_val = best_key = 0
-    for k in range(1, 1 << (n - 1)):
-        j = (k & -k).bit_length() - 1
-        w = n - 1 - j
-        if (m >> j) & 1:
-            differing = nbmask[w] & (full ^ m)
-        else:
-            differing = nbmask[w] & m
-        val += deg[w] - 2 * differing.bit_count()
-        m ^= 1 << j
-        if val > best_val or (val == best_val and m < best_key):
-            best_val, best_key = val, m
+    best_val, best_key = _best_key(g)
     return best_val, Cut(_side_tuple(best_key, n), best_val)
 
 
 def max_bisection_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
-    """Exact maximum bisection over balanced side vectors (vertex 0 on side 0)."""
+    """Exact maximum bisection over balanced side vectors (vertex 0 on side 0).
+
+    Ties break toward the lexicographically smallest balanced side vector.
+    Memory stays within lists of 2^(DEFAULT_BRUTE_LIMIT // 2) entries, so a
+    larger limit costs time only.
+    """
     n = g.n
     if n % 2 != 0:
         raise ParityError(f"bisection needs an even vertex count, got {n}")
@@ -76,15 +128,7 @@ def max_bisection_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tupl
         raise SizeLimitError(f"n={n} exceeds brute-force limit {limit}")
     if n == 0:
         return 0, Cut((), 0)
-    best_val = -1
-    best_key = 0
-    for ones in combinations(range(1, n), n // 2):
-        key = 0
-        for i in ones:
-            key |= 1 << (n - 1 - i)
-        val = _cut_value_of_key(g, key)
-        if val > best_val or (val == best_val and key < best_key):
-            best_val, best_key = val, key
+    best_val, best_key = _best_key(g, n // 2)
     return best_val, Cut(_side_tuple(best_key, n), best_val)
 
 
@@ -303,13 +347,7 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                                          f"where vertex {v} is forgotten")
                 elif j < i:
                     nbm |= 1 << j
-            if nbm:
-                crossing = [(m & nbm).bit_count() for m in range(len(table))]
-                k = nbm.bit_count()
-                table = ([t + c for t, c in zip(table, crossing)]
-                         + [t + k - c for t, c in zip(table, crossing)])
-            else:
-                table += table
+            table = _with_vertex(table, nbm)
         forgotten.update(gone)
         for onto, msg in inbox.pop(x, ()):
             table = [t + msg[p] for t, p in zip(table, _projection(bag, onto))]

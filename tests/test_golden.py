@@ -1,7 +1,8 @@
-"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits, and of
-the min-fill tree decomposition of that model, are pinned, so a change to how
-the reduction or the decomposition is built cannot change its output by a
-single byte without this file changing too."""
+"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits, of the
+min-fill tree decomposition of that model, and of the brute-force oracles'
+answers are pinned, so a change to how the reduction, the decomposition or the
+enumeration is built cannot change its output by a single byte without this
+file changing too."""
 
 import hashlib
 import json
@@ -13,7 +14,8 @@ from udgcut.gadget import h_model
 from udgcut.graph_core import (complete_graph, cycle_graph, graph, petersen_graph,
                                random_graph)
 from udgcut.reduction import reduce, to_json
-from udgcut.solvers import greedy_tree_decomposition
+from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
+                            max_cut_bruteforce)
 from udgcut.udg_model import ProximityModel
 
 # label: (graph, SHA-256 of to_json(reduce(g)), SHA-256 of
@@ -75,3 +77,40 @@ def test_bare_model_json_is_byte_identical():
     assert to_json(ProximityModel(graph(0), ())) == (
         '{"edges":[],"k":0,"per_edge_subdivisions":[],"scale":20,'
         '"source":{"edges":[],"n":0},"t":0,"vertices":[]}\n')
+
+
+def _answer_json(result) -> str:
+    size, cut = result
+    return json.dumps([size, list(cut.side)], separators=(",", ":"))
+
+
+def test_brute_force_answers_on_random_graphs_are_identical():
+    # p runs from sparse to complete, so edgeless and complete graphs, with
+    # their many tied optima, are among the inputs
+    running = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(0, 16)
+        g = random_graph(rng, n, p=rng.choice([0.05, 0.2, 0.4, 0.6, 0.8, 1.0]))
+        running.update(_answer_json(max_cut_bruteforce(g)).encode("utf-8"))
+        if n % 2 == 0:
+            running.update(_answer_json(max_bisection_bruteforce(g)).encode("utf-8"))
+    assert running.hexdigest() == (
+        "c64b2979b28505f5b4519031e9c1412a5102d878746db30dab9e65e859c2bd69")
+
+
+# the brute-direct benchmark inputs of seed 0: (solver, n, SHA-256 of the answer)
+BRUTE_DIRECT = [
+    (max_cut_bruteforce, 20, "9e4168f9b35300c038c15067903d2c1c581f97b0ffe2be18b53b65464a971584"),
+    (max_cut_bruteforce, 22, "01f7d3993916dd1f0fd20eb55595e79f329f9516101892839f33f31f2f51f5b6"),
+    (max_cut_bruteforce, 24, "95875595203a188f20f6e7b8a85cfc4a1b8c7bc6060ed81dab381c82beb7bfdb"),
+    (max_bisection_bruteforce, 18, "fceeeb3afafd7a97cc8c0fb7580cdaec31b5d9fe0f10ce1457b58aa329034692"),
+    (max_bisection_bruteforce, 20, "bc61928f40f84b98f3865a98e2fb2658189fdd85c920d99c8ea59f827bf7869b"),
+]
+
+
+@pytest.mark.parametrize("solve, n, digest", BRUTE_DIRECT,
+                         ids=[f"{s.__name__}-{n}" for s, n, _ in BRUTE_DIRECT])
+def test_brute_force_answers_on_benchmark_graphs_are_identical(solve, n, digest):
+    g = random_graph(random.Random(f"brute-direct:0:{n}"), n, 0.5, 4)
+    assert _sha256(_answer_json(solve(g))) == digest

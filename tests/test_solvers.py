@@ -1,11 +1,15 @@
 """Exact solvers: brute force, balanced brute force, and the treewidth DP."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import udgcut.solvers
 from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitError
-from udgcut.graph_core import (complete_graph, cut_size, cycle_graph,
+from udgcut.graph_core import (Cut, complete_graph, cut_size, cycle_graph,
                                disjoint_union, graph, path_graph, petersen_graph,
                                random_graph)
 from udgcut.solvers import (TreeDecomposition, greedy_tree_decomposition,
@@ -34,17 +38,95 @@ def test_cut_certificate_is_self_certifying():
         assert cut.side[0] == 0
 
 
+def _naive_optimum(g, balanced=False):
+    """(best cut, lexicographically smallest side vector reaching it) over
+    the side vectors with vertex 0 on side 0, by plain enumeration."""
+    best = None
+    for rest in product((0, 1), repeat=max(g.n - 1, 0)):
+        side = ((0,) + rest)[:g.n]
+        if balanced and 2 * sum(side) != g.n:
+            continue
+        size = cut_size(g, side)
+        if best is None or size > best[0]:
+            best = (size, side)
+    return best
+
+
 def test_tie_break_is_lexicographically_smallest():
     rng = random.Random(43)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 9), p=0.4)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 12), p=rng.choice([0.1, 0.4, 1.0]))
         size, cut = max_cut_bruteforce(g)
-        optima = []
-        for mask in range(1 << max(g.n - 1, 0)):
-            side = [0] + [(mask >> (g.n - 2 - i)) & 1 for i in range(g.n - 1)]
-            if cut_size(g, side) == size:
-                optima.append(tuple(side))
-        assert cut.side == min(optima)
+        assert (size, cut.side) == _naive_optimum(g)
+        if g.n % 2 == 0:
+            size, cut = max_bisection_bruteforce(g)
+            assert (size, cut.side) == _naive_optimum(g, balanced=True)
+
+
+def test_smallest_graphs():
+    assert max_cut_bruteforce(graph(1)) == (0, Cut((0,), 0))
+    assert max_cut_bruteforce(graph(2)) == (0, Cut((0, 0), 0))
+    assert max_cut_bruteforce(path_graph(2)) == (1, Cut((0, 1), 1))
+    assert max_cut_bruteforce(path_graph(3)) == (2, Cut((0, 1, 0), 2))
+    assert max_cut_bruteforce(complete_graph(3)) == (2, Cut((0, 0, 1), 2))
+    assert max_bisection_bruteforce(graph(2)) == (0, Cut((0, 1), 0))
+    assert max_bisection_bruteforce(path_graph(2)) == (1, Cut((0, 1), 1))
+    for n in (1, 3, 5):
+        with pytest.raises(ParityError):
+            max_bisection_bruteforce(graph(n))
+
+
+def _across_the_split(n):
+    """Every edge joins the first n - n // 2 vertices to the last n // 2."""
+    return graph(n, [(u, v) for u in range(n - n // 2) for v in range(n - n // 2, n)])
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_graphs_whose_every_edge_crosses_the_split(n):
+    g = _across_the_split(n)
+    size, cut = max_cut_bruteforce(g)
+    assert size == g.m
+    assert (size, cut.side) == _naive_optimum(g)
+    if n % 2 == 0:
+        size, cut = max_bisection_bruteforce(g)
+        assert (size, cut.side) == _naive_optimum(g, balanced=True) == (g.m, cut.side)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 5])
+def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
+    # the low block holds at most DEFAULT_BRUTE_LIMIT // 2 vertices; a small
+    # cap makes it shorter than n // 2, so some high masks have no balanced
+    # completion and are skipped
+    monkeypatch.setattr(udgcut.solvers, "DEFAULT_BRUTE_LIMIT", cap)
+    rng = random.Random(71)
+    graphs = [_across_the_split(10), complete_graph(9), graph(8)]
+    graphs += [random_graph(rng, rng.randint(1, 11), p=rng.choice([0.2, 0.5, 0.9]))
+               for _ in range(20)]
+    for g in graphs:
+        size, cut = max_cut_bruteforce(g)
+        assert (size, cut.side) == _naive_optimum(g)
+        if g.n % 2 == 0:
+            size, cut = max_bisection_bruteforce(g)
+            assert (size, cut.side) == _naive_optimum(g, balanced=True)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs())
+def test_solvers_agree_with_plain_enumeration(g):
+    size, cut = max_cut_bruteforce(g)
+    assert size == cut.size == cut_size(g, cut.side) == _naive_optimum(g)[0]
+    if g.n % 2 == 0:
+        size, cut = max_bisection_bruteforce(g)
+        assert cut.is_bisection()
+        assert size == cut.size == cut_size(g, cut.side)
+        assert size == _naive_optimum(g, balanced=True)[0]
 
 
 def test_size_limit_error():
