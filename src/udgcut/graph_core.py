@@ -187,3 +187,16 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5,
         deg[v] += 1
         edges.append((u, v))
     return graph(n, edges)
+
+
+def subdivide_randomly(rng: random.Random, g: Graph, max_n: int) -> Graph:
+    """g with each edge, in sorted order, replaced by a path through 0 to 4
+    fresh vertices drawn at random, adding none past max_n vertices."""
+    n = g.n
+    edges = []
+    for u, v in g.sorted_edges():
+        k = min(rng.randint(0, 4), max(0, max_n - n))
+        path = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(path, path[1:])
+    return graph(n, edges)

@@ -3,8 +3,10 @@
 Two routes: exhaustive enumeration of side vectors for small graphs, which
 splits the vertices into a high and a low block and scores every low-block
 completion of one high-block assignment as one list, and dynamic programming
-over a tree decomposition, one table per bag and one message per tree edge,
-for the large but thin graphs the reduction produces.
+over a tree decomposition for the large but thin graphs the reduction
+produces.  The DP keeps the edges not yet counted as integer pair weights:
+a vertex with at most two weighted neighbours is forgotten by the chain
+rule in O(1), and only the other bags build a table over their side masks.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ def _side_tuple(key: int, n: int) -> tuple[int, ...]:
     return tuple((key >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _with_vertex(table: list[int], nbm: int) -> list[int]:
+def _with_vertex(table: list[int], weights: list[int]) -> list[int]:
     """A cut table over side masks extended by one more vertex as the new
-    top bit; nbm masks its neighbours among the vertices already in."""
-    if not nbm:
+    top bit; weights[j] is its edge weight to the vertex at bit j."""
+    if not any(weights):
         return table + table
-    crossing = [(m & nbm).bit_count() for m in range(len(table))]
-    k = nbm.bit_count()
-    return ([t + c for t, c in zip(table, crossing)]
-            + [t + k - c for t, c in zip(table, crossing)])
+    crossing = [0]  # crossing[m]: its weight to the vertices on side 1 in m
+    for wt in weights:
+        # repeat() stops the map at the entries crossing had before
+        crossing += map(add, crossing, repeat(wt, len(crossing))) if wt else crossing
+    total = sum(weights)
+    return (list(map(add, table, crossing))
+            + list(map(add, table, map(total.__sub__, crossing))))
 
 
 def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
@@ -60,7 +65,7 @@ def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
     # low mask bit b holds vertex n-1-b; high mask bit b holds vertex high-1-b
     low_cut = [0]
     for b in range(low):
-        low_cut = _with_vertex(low_cut, nbmask[n - 1 - b] & ((1 << b) - 1))
+        low_cut = _with_vertex(low_cut, [nbmask[n - 1 - b] >> j & 1 for j in range(b)])
     high_nbs = [(1 << (high - 1 - u), nbmask[u] >> low) for u in range(high)]
     low_nbs = [(nb, nb.bit_count()) for nb in (nbmask[n - 1 - b] >> low for b in range(low))]
     if ones is not None:
@@ -289,73 +294,124 @@ def _projection(bag: list[int], onto: list[int]) -> list[int]:
     return proj
 
 
+def _add_weight(w: list[dict[int, int]], a: int, b: int, d: int) -> None:
+    """Adds d to the weight of pair ab, dropping a pair whose weight is 0."""
+    if d:
+        s = w[a].get(b, 0) + d
+        if s:
+            w[a][b] = w[b][a] = s
+        else:
+            del w[a][b], w[b][a]
+
+
 def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                          max_width: int = DEFAULT_WIDTH_LIMIT) -> int:
     """Exact mc(g) by DP over the side assignments of each bag.
 
-    The tree is rooted at bag 0 and its bags are visited in post-order; a
-    vertex is forgotten at the highest bag that holds it.  Each edge is
-    credited to the bag that forgets its first-forgotten endpoint, which
-    holds both endpoints.  A bag's table holds, per side mask of the bag,
-    the best cut of the edges credited in its subtree; it sends its parent
-    the max over the forgotten vertices.  Raises InputError when the tree
-    does not reach every bag from bag 0, when the bags holding a vertex are
-    not connected, or when an edge lies in no bag.
+    The tree is rooted at bag 0 and each bag is visited after all its
+    children; a vertex is forgotten at the highest bag that holds it.  The
+    terms not yet counted are a constant plus integer weights on vertex
+    pairs, starting as g's edges at weight 1.  A bag that forgets one vertex
+    v with at most two weighted neighbours, and receives no table, forgets v
+    by the chain rule: with neighbour weights w1 and w2 it adds
+    c = max(0, w1 + w2) to the constant and max(w1, w2) - c to the pair of
+    v's neighbours.  Any other bag builds a table over the side masks of its
+    vertices from the weights of its forgotten vertices and the tables of
+    its children, and takes the max over the forgotten vertices.  A table
+    over three or more vertices goes to the parent; a smaller one,
+    symmetric under flipping every side, becomes a constant plus one pair
+    weight.  Raises InputError when a bag or tree edge names something that
+    does not exist, when the tree does not reach every bag from bag 0, when
+    the bags holding a vertex are not connected, or when an edge lies in no
+    bag.
     """
     if td is None:
         td = greedy_tree_decomposition(g)
     if td.width > max_width:
         raise WidthLimitError(f"decomposition width {td.width} exceeds {max_width}")
-    adj = adjacency(g)
-    tree_adj: list[list[int]] = [[] for _ in td.bags]
+    n, bags = g.n, td.bags
+    held = set().union(*bags)
+    if held and not (min(held) >= 0 and max(held) < n):
+        x, v = min((x, v) for x, b in enumerate(bags) for v in b if not 0 <= v < n)
+        raise InputError(f"bag {x} holds {v}, which is not a vertex of the "
+                         f"{n}-vertex graph")
+    tree_adj: list[list[int]] = [[] for _ in bags]
     for i, j in td.tree:
+        if not (0 <= i < len(bags) and 0 <= j < len(bags)):
+            raise InputError(f"tree edge {(i, j)} names a bag that does not exist; "
+                             f"there are {len(bags)}")
         tree_adj[i].append(j)
         tree_adj[j].append(i)
-    parent = {0: -1} if td.bags else {}
-    order = []
-    stack = list(parent)
-    while stack:
-        x = stack.pop()
-        order.append(x)
+    # (bag, parent) pairs, each parent before its children; the root's
+    # parent is -1
+    order = [(0, -1)] if bags else []
+    reached = {0}
+    for x, _ in order:
         for y in tree_adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    if len(order) != len(td.bags):
+            if y not in reached:
+                reached.add(y)
+                order.append((y, x))
+    if len(order) != len(bags):
         raise InputError("decomposition tree does not reach every bag from bag 0")
 
+    w: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v in g.edges:
+        w[u][v] = w[v][u] = 1
+    const = 0
     forgotten: set[int] = set()
-    # the root sends its best cut to -1; with no bags the empty cut stands
-    inbox: dict[int, list[tuple[list[int], list[int]]]] = {-1: [([], [0])]}
-    for x in reversed(order):
-        up = td.bags[parent[x]] if parent[x] >= 0 else frozenset()
-        shared = sorted(td.bags[x] & up)
-        gone = sorted(td.bags[x] - up)
-        bag = shared + gone
-        pos = {v: i for i, v in enumerate(bag)}
-        # shared vertices hold the low bits, forgotten ones the high bits
-        table = [0] * (1 << len(shared))
-        for i, v in enumerate(gone, len(shared)):
+    inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
+    for x, p in reversed(order):
+        bag = bags[x]
+        up = bags[p] if p >= 0 else frozenset()
+        gone = bag - up
+        if len(gone) == 1 and x not in inbox:
+            (v,) = gone
+            wv = w[v]
+            if len(wv) <= 2 and v not in forgotten and wv.keys() <= bag:
+                forgotten.add(v)
+                if len(wv) == 2:
+                    (a, w1), (b, w2) = wv.items()
+                    del w[a][v], w[b][v]
+                    c = max(0, w1 + w2)
+                    const += c
+                    _add_weight(w, a, b, max(w1, w2) - c)
+                elif wv:
+                    (a, w1), = wv.items()
+                    del w[a][v]
+                    const += max(0, w1)
+                continue
+        for v in gone:
             if v in forgotten:
                 raise InputError(f"bags holding vertex {v} are not connected")
-            nbm = 0
-            for u in adj[v]:
-                j = pos.get(u)
-                if j is None:
-                    if u not in forgotten:
-                        raise InputError(f"edge {canon_edge(u, v)} is not in bag {x}, "
-                                         f"where vertex {v} is forgotten")
-                elif j < i:
-                    nbm |= 1 << j
-            table = _with_vertex(table, nbm)
-        forgotten.update(gone)
+            if not w[v].keys() <= bag:
+                u = min(w[v].keys() - bag)
+                what = "edge" if canon_edge(u, v) in g.edges else "weighted pair"
+                raise InputError(f"{what} {canon_edge(u, v)} is not in bag {x}, "
+                                 f"where vertex {v} is forgotten")
+        forgotten |= gone
+        shared = sorted(bag & up)
+        vertices = shared + sorted(gone)
+        # shared vertices hold the low bits, forgotten ones the high bits
+        table = [0] * (1 << len(shared))
+        for i in range(len(shared), len(vertices)):
+            wv = w[vertices[i]]
+            table = _with_vertex(table, [wv.get(u, 0) for u in vertices[:i]])
+        for v in gone:
+            for u in w[v]:
+                if u not in gone:
+                    del w[u][v]
         for onto, msg in inbox.pop(x, ()):
-            table = [t + msg[p] for t, p in zip(table, _projection(bag, onto))]
+            table = list(map(add, table, map(msg.__getitem__, _projection(vertices, onto))))
         while len(table) > 1 << len(shared):
             half = len(table) // 2
             table = list(map(max, table[:half], table[half:]))
-        inbox.setdefault(parent[x], []).append((shared, table))
+        if len(shared) > 2:
+            inbox.setdefault(p, []).append((shared, table))
+        else:
+            const += table[0]
+            if len(shared) == 2:
+                _add_weight(w, *shared, table[1] - table[0])
     stray = [e for e in g.edges if e[0] not in forgotten]
     if stray:
         raise InputError(f"edge {min(stray)} lies in no bag")
-    return max(msg[0] for _, msg in inbox[-1])
+    return const

@@ -197,6 +197,19 @@ def test_certify_reports_a_construction_error_with_the_graph(capsys, monkeypatch
     assert "counterexample" in out
 
 
+def test_certify_reports_the_dp_width_limit_with_the_graph(monkeypatch):
+    import udgcut.certify as certify_mod
+    from udgcut.solvers import max_cut_treewidth_dp
+
+    monkeypatch.setattr(certify_mod, "max_cut_treewidth_dp",
+                        lambda g: max_cut_treewidth_dp(g, max_width=1))
+    res = certify_mod.check_reduction_identity(seed=0, random_count=0)
+    assert not res.ok
+    assert res.detail.startswith("K4: decomposition width ")
+    assert res.detail.endswith(" exceeds 1")
+    assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
+
+
 def test_solve_bisection_over_limit_exits_2(tmp_path, k5_file, capsys):
     out = tmp_path / "k5.json"
     assert main(["reduce", "--in", k5_file, "--out", str(out)]) == 0

@@ -8,7 +8,8 @@ from udgcut.errors import InputError
 from udgcut.graph_core import (complete_graph, cut_size, cycle_graph,
                                disjoint_union, format_graph_text, graph,
                                max_degree, parse_graph_text, path_graph,
-                               petersen_graph, random_graph, subdivide_edge_twice)
+                               petersen_graph, random_graph, subdivide_edge_twice,
+                               subdivide_randomly)
 from udgcut.solvers import max_bisection_bruteforce, max_cut_bruteforce
 
 
@@ -72,6 +73,18 @@ def test_subdivide_k4_cut_values():
 def test_subdivide_missing_edge_is_error():
     with pytest.raises(InputError):
         subdivide_edge_twice(graph(3, [(0, 1)]), (1, 2))
+
+
+def test_random_subdivision_replaces_edges_by_paths():
+    rng = random.Random(19)
+    k5 = complete_graph(5)
+    for max_n in (0, 5, 9, 14, 60):
+        sub = subdivide_randomly(rng, k5, max_n=max_n)
+        assert 5 <= sub.n <= max(5, max_n)
+        # each added vertex sits inside one path: one more vertex, one more edge
+        assert sub.m == k5.m + sub.n - 5
+        assert all(sub.degree(v) == 2 for v in range(5, sub.n))
+    assert subdivide_randomly(rng, k5, max_n=5) == k5
 
 
 def test_double_subdivision_adds_exactly_two():

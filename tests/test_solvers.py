@@ -1,6 +1,7 @@
 """Exact solvers: brute force, balanced brute force, and the treewidth DP."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ import udgcut.solvers
 from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from udgcut.graph_core import (Cut, complete_graph, cut_size, cycle_graph,
                                disjoint_union, graph, path_graph, petersen_graph,
-                               random_graph)
+                               random_graph, subdivide_randomly)
 from udgcut.solvers import (TreeDecomposition, greedy_tree_decomposition,
                             max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp, validate_tree_decomposition)
@@ -287,3 +288,105 @@ def test_dp_rejects_disconnected_bags_of_a_vertex():
     assert validate_tree_decomposition(edge, td) != []
     with pytest.raises(InputError, match="vertex 0 are not connected"):
         max_cut_treewidth_dp(edge, td)
+
+
+def test_dp_rejects_a_tree_edge_to_a_missing_bag():
+    edge = graph(2, [(0, 1)])
+    td = TreeDecomposition([frozenset({0, 1})], [(0, 5)])
+    with pytest.raises(InputError, match=r"tree edge \(0, 5\)"):
+        max_cut_treewidth_dp(edge, td)
+
+
+def test_dp_rejects_a_bag_vertex_outside_the_graph():
+    edge = graph(2, [(0, 1)])
+    for stray in (7, -1):
+        td = TreeDecomposition([frozenset({0, 1}), frozenset({1, stray})], [(0, 1)])
+        with pytest.raises(InputError, match=f"bag 1 holds {stray}, which is not a vertex"):
+            max_cut_treewidth_dp(edge, td)
+
+
+def _assert_dp_is_exact_from_every_root(g, td):
+    expected = max_cut_bruteforce(g)[0]
+    for r in range(len(td.bags)):
+        rerooted = _rerooted(td, r)
+        assert validate_tree_decomposition(g, rerooted) == []
+        assert max_cut_treewidth_dp(g, rerooted) == expected
+
+
+def test_dp_on_subdivided_graphs_from_every_root():
+    # most vertices have degree 2 and are forgotten by the chain rule; the
+    # pair weights it leaves behind must survive any root
+    rng = random.Random(73)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.2, 0.7))
+        g = subdivide_randomly(rng, g, max_n=18)
+        _assert_dp_is_exact_from_every_root(g, greedy_tree_decomposition(g))
+
+
+def test_dp_chain_rule_cancels_the_edge_between_the_two_neighbours():
+    # forgetting vertex 2 of a triangle adds max(0, 1 + 1) = 2 and weight
+    # max(1, 1) - 2 = -1 to the pair (0, 1), whose edge then weighs 0
+    triangle = graph(3, [(0, 1), (1, 2), (0, 2)])
+    td = TreeDecomposition([frozenset({0, 1}), frozenset({0, 1, 2})], [(0, 1)])
+    assert max_cut_treewidth_dp(triangle, td) == 2
+    _assert_dp_is_exact_from_every_root(triangle, td)
+    # a pendant at 0 keeps a weighted neighbour for the root bag to cut
+    paw = graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    td = TreeDecomposition([frozenset({0, 3}), frozenset({0, 1}), frozenset({0, 1, 2})],
+                           [(0, 1), (1, 2)])
+    assert max_cut_treewidth_dp(paw, td) == 3
+    _assert_dp_is_exact_from_every_root(paw, td)
+
+
+def test_dp_bag_forgets_a_degree_2_vertex_and_receives_a_table():
+    # K4 on 0..3 plus vertex 4 joined to 0 and 1: bag 1 forgets vertex 4,
+    # which has two weighted neighbours, and receives from bag 2 a table
+    # over {0, 1, 2}, so it must take the table route
+    g = graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
+    td = TreeDecomposition([frozenset({0, 1, 2}), frozenset({0, 1, 2, 4}),
+                            frozenset({0, 1, 2, 3})], [(0, 1), (1, 2)])
+    assert max_cut_treewidth_dp(g, td) == max_cut_bruteforce(g)[0] == 6
+    _assert_dp_is_exact_from_every_root(g, td)
+
+
+@st.composite
+def _corrupted_decompositions(draw):
+    """A small graph, maybe subdivided, and its min-fill decomposition,
+    rerooted, with one vertex dropped from a bag, one tree edge dropped, or
+    one vertex added to a bag whose tree neighbours do not hold it."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(rng, draw(st.integers(1, 8)), p=draw(st.sampled_from([0.3, 0.6, 0.9])))
+    if draw(st.booleans()):
+        g = subdivide_randomly(rng, g, max_n=14)
+    td = greedy_tree_decomposition(g)
+    td = _rerooted(td, draw(st.integers(0, len(td.bags) - 1)))
+    bags, tree = list(td.bags), list(td.tree)
+    kind = draw(st.sampled_from(["drop vertex", "drop tree edge", "add vertex"]))
+    if kind == "drop vertex":
+        i = draw(st.integers(0, len(bags) - 1))
+        if bags[i]:
+            bags[i] = bags[i] - {draw(st.sampled_from(sorted(bags[i])))}
+    elif kind == "drop tree edge" and tree:
+        del tree[draw(st.integers(0, len(tree) - 1))]
+    elif kind == "add vertex":
+        v = draw(st.integers(0, g.n - 1))
+        near = {j for i, j in tree + [(j, i) for i, j in tree] if v in bags[i]}
+        far = [i for i, b in enumerate(bags) if v not in b and i not in near]
+        if far:
+            i = draw(st.sampled_from(far))
+            bags[i] = bags[i] | {v}
+    return g, TreeDecomposition(bags, tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_decompositions())
+def test_dp_on_a_corrupted_decomposition_raises_or_is_exact(case):
+    g, td = case
+    try:
+        value = max_cut_treewidth_dp(g, td, max_width=20)
+    except InputError as exc:
+        # a pair the message calls an edge is one
+        for u, v in re.findall(r"edge \((\d+), (\d+)\)", str(exc)):
+            assert (int(u), int(v)) in g.edges
+    else:
+        assert value == max_cut_bruteforce(g)[0]
