@@ -1,8 +1,10 @@
 """Exact max-cut and max-bisection oracles.
 
 Two routes: exhaustive enumeration of side vectors for small graphs, which
-splits the vertices into a high and a low block and scores every low-block
-completion of one high-block assignment as one list, and dynamic programming
+splits the vertices into a high and a low block, walks the high-block
+assignments in Gray order and keeps the scores of every low-block
+completion as one list, updated by one precomputed flip vector per step
+(ties still go to the smallest side vector), and dynamic programming
 over a tree decomposition for the large but thin graphs the reduction
 produces.  The DP keeps the edges not yet counted as integer pair weights:
 a vertex with at most two weighted neighbours is forgotten by the chain
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from operator import add
+from operator import add, sub
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from .graph_core import Cut, Graph, adjacency, canon_edge
@@ -29,15 +31,21 @@ def _side_tuple(key: int, n: int) -> tuple[int, ...]:
     return tuple((key >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _crossing(weights: list[int]) -> list[int]:
+    """crossing[m]: the sum of weights[j] over the bits j set in mask m."""
+    crossing = [0]
+    for wt in weights:
+        # repeat() stops the map at the entries crossing had before
+        crossing += map(add, crossing, repeat(wt, len(crossing))) if wt else crossing
+    return crossing
+
+
 def _with_vertex(table: list[int], weights: list[int]) -> list[int]:
     """A cut table over side masks extended by one more vertex as the new
     top bit; weights[j] is its edge weight to the vertex at bit j."""
     if not any(weights):
         return table + table
-    crossing = [0]  # crossing[m]: its weight to the vertices on side 1 in m
-    for wt in weights:
-        # repeat() stops the map at the entries crossing had before
-        crossing += map(add, crossing, repeat(wt, len(crossing))) if wt else crossing
+    crossing = _crossing(weights)
     total = sum(weights)
     return (list(map(add, table, crossing))
             + list(map(add, table, map(total.__sub__, crossing))))
@@ -49,11 +57,18 @@ def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
     on side 1.
 
     The low l = min(n // 2, DEFAULT_BRUTE_LIMIT // 2) key bits hold the low
-    block, the last l vertices; the other bits hold the high block.  For
-    each high mask, in ascending order, the cuts of all its completions are
-    scored as one list: the low block's own cut, which does not depend on
-    the high mask, plus each low vertex's share of its edges to the high
-    block.  No list is longer than 2^l, whatever n is.
+    block, the last l vertices; the other bits hold the high block.  The
+    high masks are visited in Gray order, so each differs from the one
+    before in one vertex h.  For the current high mask, val is the cut with
+    the whole low block on side 0 and scores[m] is what low mask m adds to
+    it.  When h moves to side 1, val changes by h's side-0 neighbours minus
+    its side-1 neighbours, and scores drops by h's flip vector: twice the
+    number of h's low neighbours in m.  Moving h back undoes both.  A flip
+    vector is kept only for a high vertex with a low neighbour, as bytes, so
+    the extra memory is at most (n - l - 1) * 2^l one-byte entries beside
+    the 2^l-entry lists.  A high mask replaces the best when its total is
+    larger, or equal with a smaller key; within one high mask the first
+    index of the maximum is the smallest key.
     """
     n = g.n
     low = min(n // 2, DEFAULT_BRUTE_LIMIT // 2)
@@ -66,39 +81,50 @@ def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
     low_cut = [0]
     for b in range(low):
         low_cut = _with_vertex(low_cut, [nbmask[n - 1 - b] >> j & 1 for j in range(b)])
-    high_nbs = [(1 << (high - 1 - u), nbmask[u] >> low) for u in range(high)]
-    low_nbs = [(nb, nb.bit_count()) for nb in (nbmask[n - 1 - b] >> low for b in range(low))]
+    # with every high vertex on side 0, a low vertex on side 1 cuts all its
+    # high neighbours
+    scores = list(map(add, low_cut, _crossing(
+        [(nbmask[n - 1 - b] >> low).bit_count() for b in range(low)])))
+    moves = []  # by high mask bit: (bit, high neighbours, degree, flip vector)
+    for b in range(high - 1):
+        nb = nbmask[high - 1 - b]
+        low_nb = nb & ((1 << low) - 1)
+        flip = bytes(_crossing([2 * (low_nb >> j & 1) for j in range(low)])) if low_nb else b""
+        moves.append((1 << b, nb >> low, nb.bit_count(), flip))
     if ones is not None:
-        # the low masks of each popcount, ascending, and their low cuts
+        # the low masks of each popcount, ascending
         by_ones: list[list[int]] = [[] for _ in range(low + 1)]
         for m in range(1 << low):
             by_ones[m.bit_count()].append(m)
-        cut_by_ones = [[low_cut[m] for m in masks] for masks in by_ones]
+    mh = val = 0
     best_val = best_key = -1
-    for mh in range(1 << (high - 1)):
-        if ones is not None:
+    for step in range(1 << (high - 1)):
+        if step:
+            bit, high_nb, deg, flip = moves[(step & -step).bit_length() - 1]
+            mh ^= bit
+            gain = deg - 2 * (high_nb & mh).bit_count()
+            if mh & bit:
+                val += gain
+                if flip:
+                    scores = list(map(sub, scores, flip))
+            else:
+                val -= gain
+                if flip:
+                    scores = list(map(add, scores, flip))
+        if ones is None:
+            top = max(scores)
+        else:
             r = ones - mh.bit_count()
             if not 0 <= r <= low:
                 continue
-        # a cut edge inside the high block is counted at its side-0 end
-        val = sum((nb & mh).bit_count() for bit, nb in high_nbs if not mh & bit)
-        # a low vertex on side 0 cuts its c high neighbours on side 1, and
-        # on side 1 it cuts deg - c; gains[m] sums the deg - 2c of mask m
-        gains = [0]
-        for nb, deg in low_nbs:
-            c = (nb & mh).bit_count()
-            val += c
-            # repeat() stops the map at the entries gains had before
-            gains += map(add, gains, repeat(deg - 2 * c, len(gains)))
-        if ones is None:
-            scores = list(map(add, low_cut, gains))
-        else:
-            scores = list(map(add, cut_by_ones[r], map(gains.__getitem__, by_ones[r])))
-        top = max(scores)
-        if val + top > best_val:
+            top = max(map(scores.__getitem__, by_ones[r]))
+        # the high mask is the key's high part, so a smaller one is a
+        # smaller key whatever the low part
+        if val + top > best_val or val + top == best_val and mh < best_key >> low:
             best_val = val + top
-            i = scores.index(top)
-            best_key = mh << low | (i if ones is None else by_ones[r][i])
+            i = (scores.index(top) if ones is None
+                 else next(m for m in by_ones[r] if scores[m] == top))
+            best_key = mh << low | i
     return best_val, best_key
 
 
@@ -106,8 +132,10 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int,
     """Exact maximum cut by enumerating all 2^(n-1) side vectors.
 
     Vertex 0 is fixed to side 0; ties break toward the lexicographically
-    smallest side vector.  Memory stays within lists of
-    2^(DEFAULT_BRUTE_LIMIT // 2) entries, so a larger limit costs time only.
+    smallest side vector, although the high-block assignments are walked
+    in Gray order.  Memory stays within lists of 2^l entries plus
+    (n - l - 1) * 2^l bytes of flip vectors, where the low block's length
+    l is at most DEFAULT_BRUTE_LIMIT // 2.
     """
     n = g.n
     if n > limit:
@@ -122,9 +150,11 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int,
 def max_bisection_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
     """Exact maximum bisection over balanced side vectors (vertex 0 on side 0).
 
-    Ties break toward the lexicographically smallest balanced side vector.
-    Memory stays within lists of 2^(DEFAULT_BRUTE_LIMIT // 2) entries, so a
-    larger limit costs time only.
+    Ties break toward the lexicographically smallest balanced side vector,
+    although the high-block assignments are walked in Gray order.  The
+    scores of every low completion are updated at each step of the walk,
+    and read only at the balanced ones.  Memory is as for
+    max_cut_bruteforce.
     """
     n = g.n
     if n % 2 != 0:
@@ -238,13 +268,21 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
 
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
-    """Returns [] when td satisfies the three decomposition properties for g."""
+    """Returns [] when td satisfies the three decomposition properties for g.
+
+    One pass over the bags lists the bags holding each vertex; an edge is
+    covered when the bag sets of its two ends meet.
+    """
     problems = []
-    covered = set().union(*td.bags) if td.bags else set()
+    holding: dict[int, set[int]] = {}
+    for i, b in enumerate(td.bags):
+        for v in b:
+            holding.setdefault(v, set()).add(i)
+    covered = set(holding)
     if covered != set(range(g.n)):
         problems.append(f"vertices missing from bags: {set(range(g.n)) - covered}")
     for e in g.sorted_edges():
-        if not any(e[0] in b and e[1] in b for b in td.bags):
+        if holding.get(e[0], set()).isdisjoint(holding.get(e[1], ())):
             problems.append(f"edge {e} in no bag")
     # connectivity of each vertex's bag set
     nbags = len(td.bags)
@@ -264,12 +302,11 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         if len(seen) != nbags:
             problems.append("decomposition tree is not connected")
     for v in range(g.n):
-        holding = [i for i, b in enumerate(td.bags) if v in b]
-        if not holding:
+        holding_set = holding.get(v)
+        if not holding_set:
             continue
-        seen = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
+        stack = [min(holding_set)]
+        seen = set(stack)
         while stack:
             x = stack.pop()
             for y in tree_adj[x]:

@@ -1,16 +1,24 @@
 """Shared fixtures: the end-to-end reduction instance set is expensive, so
-it is built once per session and reused by the acceptance criteria."""
+it is built once per session and reused by the acceptance criteria.
+
+Property tests run under a derandomized hypothesis profile: every run draws
+the same examples, so a failure repeats, and its report prints the blob
+that reproduces it with @reproduce_failure."""
 
 import random
 import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from udgcut.graph_core import Graph, random_graph
 from udgcut.reduction import ReductionOutput, reduce
 from udgcut.solvers import TreeDecomposition, greedy_tree_decomposition, max_cut_treewidth_dp
 from udgcut.certify import named_instances
+
+settings.register_profile("reproducible", derandomize=True, print_blob=True)
+settings.load_profile("reproducible")
 
 
 @dataclass

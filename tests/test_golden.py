@@ -99,18 +99,29 @@ def test_brute_force_answers_on_random_graphs_are_identical():
         "c64b2979b28505f5b4519031e9c1412a5102d878746db30dab9e65e859c2bd69")
 
 
-# the brute-direct benchmark inputs of seed 0: (solver, n, SHA-256 of the answer)
+# the brute-direct benchmark inputs of seeds 0 and 3:
+# (solver, seed, n, SHA-256 of the answer)
 BRUTE_DIRECT = [
-    (max_cut_bruteforce, 20, "9e4168f9b35300c038c15067903d2c1c581f97b0ffe2be18b53b65464a971584"),
-    (max_cut_bruteforce, 22, "01f7d3993916dd1f0fd20eb55595e79f329f9516101892839f33f31f2f51f5b6"),
-    (max_cut_bruteforce, 24, "95875595203a188f20f6e7b8a85cfc4a1b8c7bc6060ed81dab381c82beb7bfdb"),
-    (max_bisection_bruteforce, 18, "fceeeb3afafd7a97cc8c0fb7580cdaec31b5d9fe0f10ce1457b58aa329034692"),
-    (max_bisection_bruteforce, 20, "bc61928f40f84b98f3865a98e2fb2658189fdd85c920d99c8ea59f827bf7869b"),
+    (max_cut_bruteforce, 0, 20, "9e4168f9b35300c038c15067903d2c1c581f97b0ffe2be18b53b65464a971584"),
+    (max_cut_bruteforce, 0, 22, "01f7d3993916dd1f0fd20eb55595e79f329f9516101892839f33f31f2f51f5b6"),
+    (max_cut_bruteforce, 0, 24, "95875595203a188f20f6e7b8a85cfc4a1b8c7bc6060ed81dab381c82beb7bfdb"),
+    (max_bisection_bruteforce, 0, 18, "fceeeb3afafd7a97cc8c0fb7580cdaec31b5d9fe0f10ce1457b58aa329034692"),
+    (max_bisection_bruteforce, 0, 20, "bc61928f40f84b98f3865a98e2fb2658189fdd85c920d99c8ea59f827bf7869b"),
+    (max_cut_bruteforce, 3, 20, "bb05fcd5b2f7b876b2aa56467ddde5720f9ba5481c9e33571ad092e2cba8c65f"),
+    (max_cut_bruteforce, 3, 22, "f255a1968e8f5857862a200fbc00b91168806ca5fb6355789a34531f50b9c48b"),
+    (max_cut_bruteforce, 3, 24, "f98deaf4b9286602ea5e68cb2add0127b77999ef009301f80f414dded99b7a33"),
+    (max_bisection_bruteforce, 3, 18, "a59df3f0bba3fced63d2835042934e0b7034c1088e23628d0fdbfad5af078d06"),
+    # the seed-3 graph on 20 vertices has a maximum cut that is balanced
+    (max_bisection_bruteforce, 3, 20, "bb05fcd5b2f7b876b2aa56467ddde5720f9ba5481c9e33571ad092e2cba8c65f"),
 ]
 
 
-@pytest.mark.parametrize("solve, n, digest", BRUTE_DIRECT,
-                         ids=[f"{s.__name__}-{n}" for s, n, _ in BRUTE_DIRECT])
-def test_brute_force_answers_on_benchmark_graphs_are_identical(solve, n, digest):
-    g = random_graph(random.Random(f"brute-direct:0:{n}"), n, 0.5, 4)
+def _brute_direct_id(solve, seed, n):
+    return f"{solve.__name__}-{n}" if seed == 0 else f"{solve.__name__}-seed{seed}-{n}"
+
+
+@pytest.mark.parametrize("solve, seed, n, digest", BRUTE_DIRECT,
+                         ids=[_brute_direct_id(*case[:3]) for case in BRUTE_DIRECT])
+def test_brute_force_answers_on_benchmark_graphs_are_identical(solve, seed, n, digest):
+    g = random_graph(random.Random(f"brute-direct:{seed}:{n}"), n, 0.5, 4)
     assert _sha256(_answer_json(solve(g))) == digest

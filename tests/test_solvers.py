@@ -93,22 +93,39 @@ def test_graphs_whose_every_edge_crosses_the_split(n):
         assert (size, cut.side) == _naive_optimum(g, balanced=True) == (g.m, cut.side)
 
 
+def _complete_bipartite(a, b):
+    return graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
 @pytest.mark.parametrize("cap", [0, 2, 5])
 def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
     # the low block holds at most DEFAULT_BRUTE_LIMIT // 2 vertices; a small
     # cap makes it shorter than n // 2, so some high masks have no balanced
-    # completion and are skipped
+    # completion and are skipped, and cap 0 walks every vertex but vertex 0
+    # in Gray order
     monkeypatch.setattr(udgcut.solvers, "DEFAULT_BRUTE_LIMIT", cap)
     rng = random.Random(71)
     graphs = [_across_the_split(10), complete_graph(9), graph(8)]
-    graphs += [random_graph(rng, rng.randint(1, 11), p=rng.choice([0.2, 0.5, 0.9]))
-               for _ in range(20)]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [_complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 13 - a)]
+    graphs += [random_graph(rng, rng.randint(1, 12), p=rng.choice([0.1, 0.2, 0.5, 0.9]))
+               for _ in range(30)]
     for g in graphs:
         size, cut = max_cut_bruteforce(g)
         assert (size, cut.side) == _naive_optimum(g)
         if g.n % 2 == 0:
             size, cut = max_bisection_bruteforce(g)
             assert (size, cut.side) == _naive_optimum(g, balanced=True)
+
+
+def test_edgeless_graphs_keep_the_smallest_side_vector():
+    # every side vector ties, and Gray order visits high masks out of
+    # ascending order, so only the tie rule picks the smallest
+    for n in range(1, 17):
+        assert max_cut_bruteforce(graph(n)) == (0, Cut((0,) * n, 0))
+        if n % 2 == 0:
+            side = (0,) * (n // 2) + (1,) * (n // 2)
+            assert max_bisection_bruteforce(graph(n)) == (0, Cut(side, 0))
 
 
 @st.composite
@@ -390,3 +407,77 @@ def test_dp_on_a_corrupted_decomposition_raises_or_is_exact(case):
             assert (int(u), int(v)) in g.edges
     else:
         assert value == max_cut_bruteforce(g)[0]
+
+
+def _validate_by_rescanning(g, td):
+    """validate_tree_decomposition as it was when it rescanned every bag
+    for each vertex and each edge: the reference for its problem list."""
+    problems = []
+    covered = set().union(*td.bags) if td.bags else set()
+    if covered != set(range(g.n)):
+        problems.append(f"vertices missing from bags: {set(range(g.n)) - covered}")
+    for e in g.sorted_edges():
+        if not any(e[0] in b and e[1] in b for b in td.bags):
+            problems.append(f"edge {e} in no bag")
+    nbags = len(td.bags)
+    tree_adj = {i: set() for i in range(nbags)}
+    for i, j in td.tree:
+        tree_adj[i].add(j)
+        tree_adj[j].add(i)
+    if nbags > 1:
+        seen = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in tree_adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != nbags:
+            problems.append("decomposition tree is not connected")
+    for v in range(g.n):
+        holding = [i for i, b in enumerate(td.bags) if v in b]
+        if not holding:
+            continue
+        seen = {holding[0]}
+        stack = [holding[0]]
+        holding_set = set(holding)
+        while stack:
+            x = stack.pop()
+            for y in tree_adj[x]:
+                if y in holding_set and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != holding_set:
+            problems.append(f"bags containing vertex {v} are not connected")
+    return problems
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corrupted_decompositions())
+def test_validation_reports_what_a_rescan_of_every_bag_reports(case):
+    g, td = case
+    assert validate_tree_decomposition(g, td) == _validate_by_rescanning(g, td)
+
+
+def test_validation_of_hand_built_decompositions_matches_a_rescan():
+    path, edge = path_graph(3), graph(2, [(0, 1)])
+    two_edges = graph(4, [(0, 1), (2, 3)])
+    cases = [
+        (two_edges, TreeDecomposition([frozenset({0, 1}), frozenset({2, 3})], [])),
+        (two_edges, TreeDecomposition([frozenset({0, 1})], [])),
+        (path, TreeDecomposition([frozenset({0, 1}), frozenset({2})], [(0, 1)])),
+        (edge, TreeDecomposition([frozenset({0, 1}), frozenset({1}), frozenset({0, 1})],
+                                 [(0, 1), (1, 2)])),
+        (edge, TreeDecomposition([frozenset({0, 1}), frozenset({1, 7})], [(0, 1)])),
+        (graph(6, [(0, 5), (1, 4)]), TreeDecomposition([frozenset({3})], [])),
+        (graph(3), TreeDecomposition([], [])),
+        (_grid_graph(3, 4), TreeDecomposition([frozenset(range(i, i + 5)) for i in range(8)],
+                                              [(i, i + 1) for i in range(7)])),
+    ]
+    petersen = petersen_graph()
+    td = greedy_tree_decomposition(petersen)
+    cases += [(petersen, _rerooted(td, r)) for r in range(len(td.bags))]
+    for g, td in cases:
+        assert validate_tree_decomposition(g, td) == _validate_by_rescanning(g, td)
+    assert [validate_tree_decomposition(g, td) != [] for g, td in cases[:7]] == [True] * 7
