@@ -32,13 +32,14 @@ ROLE_COLORS = {
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    stdin = path is None or path == "-"
     try:
+        if stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {'stdin' if stdin else path}: {exc}") from exc
 
 
 def _write_output(path: str | None, text: str):

@@ -5,15 +5,15 @@ vertices), so mc(G) is recoverable from mc(U(G)).
 
 Steps, in construction order:
   1. standard mesh drawing;
-  2. subdivision vertices at every interior mesh cross that is not a
-     crossing point (consecutive points at distance exactly 1);
-  3. per crossing, subdivide the vertical edge at the crossing itself and
-     reroute the horizontal edge through four vertices on the half-integer
-     row above;
-  4. per crossing, plant the gadget on the two former crossing edges, with
+  2. per edge, one walk over its route lays out the path in final form:
+     every interior mesh cross is a subdivision vertex, except where the edge
+     is the horizontal one of a crossing, whose point and two flanks give way
+     to four vertices on the half-integer row above; consecutive path
+     vertices are adjacent (at distance 1, or 1/sqrt(2) onto that row);
+  3. per crossing, plant the gadget on the two path edges through it, with
      apex coordinates from the gadget model centered half a unit above the
      crossing;
-  5. per original edge with an odd subdivision count, bend one straight
+  4. per original edge with an odd subdivision count, bend one straight
      horizontal unit edge into a two-edge detour through a fresh apex,
      restoring even parity.
 """
@@ -74,19 +74,15 @@ def _route_mesh_points(route) -> list[Point]:
 
 
 class _Builder:
-    """Mutable vertex/edge store with monotone id allocation."""
+    """Vertex/edge store; ids are allocated in creation order."""
 
-    def __init__(self, n_original: int):
-        self.n_alloc = n_original
+    def __init__(self):
         self.coords: dict[int, Point] = {}
         self.adj: dict[int, set[int]] = {}
-        self.role: dict[int, str] = {}
         self.prov: dict[int, Provenance] = {}
 
-    def new_node(self, pt: Point, prov: Provenance, node_id: int | None = None) -> int:
-        nid = self.n_alloc if node_id is None else node_id
-        if node_id is None:
-            self.n_alloc += 1
+    def new_node(self, pt: Point, prov: Provenance) -> int:
+        nid = len(self.coords)
         self.coords[nid] = pt
         self.adj[nid] = set()
         self.prov[nid] = prov
@@ -102,11 +98,6 @@ class _Builder:
         self.adj[a].discard(b)
         self.adj[b].discard(a)
 
-    def delete_node(self, a: int):
-        for b in list(self.adj[a]):
-            self.remove_edge(a, b)
-        del self.adj[a], self.coords[a], self.prov[a]
-
 
 def reduce(g: Graph) -> ReductionOutput:
     """Run the full pipeline on a graph of maximum degree at most 4."""
@@ -119,54 +110,31 @@ def reduce(g: Graph) -> ReductionOutput:
     if not report.ok:
         raise ConstructionError(f"standardization failed: {report.witnesses}")
 
-    b = _Builder(g.n)
-    for v in range(g.n):
-        b.new_node(drawn.placement[v], Provenance(ROLE_ORIGINAL), node_id=v)
-
-    holes_by_edge: dict[Edge, set[Point]] = {e: set() for e in drawn.routes}
-    cross_edges: dict[Point, tuple[Edge, Edge]] = {}
+    # the crossing points on each edge, True where the edge is the horizontal one
+    sites: dict[Edge, dict[Point, bool]] = {e: {} for e in drawn.routes}
     for cr in xreport:
-        holes_by_edge[cr.horizontal_edge].add(cr.point)
-        holes_by_edge[cr.vertical_edge].add(cr.point)
-        cross_edges[cr.point] = (cr.horizontal_edge, cr.vertical_edge)
+        sites[cr.horizontal_edge][cr.point] = True
+        sites[cr.vertical_edge][cr.point] = False
 
-    # Step 2: subdivision vertices everywhere except at crossing points.
-    hole = object()
-    paths: dict[Edge, list] = {}
-    node_at: dict[Point, int] = {b.coords[v]: v for v in range(g.n)}
+    b = _Builder()
+    for v in range(g.n):
+        b.new_node(drawn.placement[v], Provenance(ROLE_ORIGINAL))
+
+    # Step 2: every path in its final form; its edges are consecutive pairs.
+    paths: dict[Edge, list[int]] = {}
     for e in sorted(drawn.routes):
-        mesh_pts = _route_mesh_points(drawn.routes[e])
-        path: list = [e[0]]
-        for pt in mesh_pts[1:-1]:
-            if pt in holes_by_edge[e]:
-                path.append((hole, pt))
-            else:
-                nid = b.new_node(pt, Provenance(ROLE_SUBDIVISION, edge=e))
-                node_at[pt] = nid
-                path.append(nid)
-        path.append(e[1])
-        for i in range(len(path) - 1):
-            a_ent, b_ent = path[i], path[i + 1]
-            if isinstance(a_ent, tuple) or isinstance(b_ent, tuple):
-                continue
-            b.add_edge(a_ent, b_ent)
-        # edges across a hole: the temporary length-2 link
-        for i, ent in enumerate(path):
-            if isinstance(ent, tuple):
-                if not (0 < i < len(path) - 1):
-                    raise ConstructionError(f"crossing adjacent to a vertex on {e}")
-                before, after = path[i - 1], path[i + 1]
-                if isinstance(before, tuple) or isinstance(after, tuple):
-                    raise ConstructionError(f"adjacent crossings on {e}")
-                b.add_edge(before, after)
+        inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
+        path = [e[0]] + [b.new_node(pt, Provenance(ROLE_SUBDIVISION, edge=e))
+                         for pt in inner] + [e[1]]
+        for a_, b_ in zip(path, path[1:]):
+            b.add_edge(a_, b_)
         paths[e] = path
 
-    # Steps 3 and 4, one crossing at a time (sites are >= 10 apart).
-    gadgets: list[GadgetInstance] = []
-    for cr in sorted(xreport, key=lambda c: (c.point.xu, c.point.yu)):
-        gadgets.append(_build_crossing_site(b, paths, cross_edges, node_at, cr.point))
+    # Step 3: the gadget on every crossing.
+    node_at = {pt: nid for nid, pt in b.coords.items()}
+    gadgets = [_plant_gadget(b, node_at, cr.point) for cr in xreport]
 
-    # Step 5: restore even parity per original edge.
+    # Step 4: restore even parity per original edge.
     for e in sorted(paths):
         if (len(paths[e]) - 2) % 2 == 1:
             _apply_parity_detour(b, paths, e)
@@ -174,58 +142,53 @@ def reduce(g: Graph) -> ReductionOutput:
     return _finalize(g, drawn, b, paths, gadgets)
 
 
-def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
-                         cp: Point) -> GadgetInstance:
-    eh, ev = cross_edges[cp]
+def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
+    """Step 2 for one edge: the points of its path, in route order.
+
+    Every mesh cross of the route is a path vertex, except where the edge is
+    the horizontal one of a crossing (x, y): there the crossing and its two
+    flanks (x -+ 1, y) give way to (x -+ 3/2, y + 1/2) and (x -+ 1/2, y + 1/2)
+    on the half-integer row above.  On the vertical edge the crossing is a
+    plain subdivision vertex.
+    """
+    pts = _route_mesh_points(route)
+    swap: dict[int, tuple[Point, ...]] = {}
+    for j, cp in enumerate(pts):
+        if cp not in sites:
+            continue
+        if not 2 <= j <= len(pts) - 3:
+            raise ConstructionError(f"crossing {cp} next to an end of route {e}")
+        if any(p in sites for p in (pts[j - 2], pts[j - 1], pts[j + 1], pts[j + 2])):
+            raise ConstructionError(f"crossing {cp} within two steps of another on {e}")
+        if sites[cp]:
+            step = pts[j + 1].xu - cp.xu
+            if pts[j - 2:j + 3] != [Point(cp.xu + i * step, cp.yu) for i in range(-2, 3)]:
+                raise ConstructionError(
+                    f"crossing {cp}: route {e} is not straight on row {cp.yu} there")
+            swap[j - 1] = tuple(Point(cp.xu + i * step // 2, cp.yu + _HALF)
+                                for i in (-3, -1, 1, 3))
+            swap[j] = swap[j + 1] = ()
+    return [q for j, p in enumerate(pts) for q in swap.get(j, (p,))]
+
+
+def _plant_gadget(b: _Builder, node_at: dict[Point, int], cp: Point) -> GadgetInstance:
+    """Step 3: plant H on the two path edges through crossing cp.
+
+    Roles follow the model layout around center (x, y + 1/2): v0 right,
+    v1 top, v2 left, v3 bottom.  construct_H_on runs on the subgraph induced
+    by the four cycle vertices, relabelled 0..3: its preconditions only
+    concern those vertices.
+    """
     x, y = cp.xu, cp.yu
 
-    def expect(pt: Point) -> int:
+    def site(pt: Point) -> int:
         nid = node_at.get(pt)
-        if nid is None or nid not in b.coords:
+        if nid is None:
             raise ConstructionError(f"expected a vertex at {pt} near crossing {cp}")
         return nid
 
-    # Step 3, vertical edge: subdivide the length-2 link with a vertex at cp.
-    below = expect(Point(x, y - SCALE))
-    above = expect(Point(x, y + SCALE))
-    vpath = paths[ev]
-    iv = vpath.index((_hole_entry(vpath, cp)))
-    v3 = b.new_node(cp, Provenance(ROLE_SUBDIVISION, edge=ev))
-    node_at[cp] = v3
-    b.remove_edge(below, above)
-    b.add_edge(below, v3)
-    b.add_edge(v3, above)
-    vpath[iv] = v3
-
-    # Step 3, horizontal edge: drop the two flanking vertices, reroute through
-    # four vertices on the half-integer row above the crossing.
-    hm1 = expect(Point(x - SCALE, y))
-    hp1 = expect(Point(x + SCALE, y))
-    hm2 = expect(Point(x - 2 * SCALE, y))
-    hp2 = expect(Point(x + 2 * SCALE, y))
-    if len(b.adj[hm1]) != 2 or len(b.adj[hp1]) != 2:
-        raise ConstructionError(f"crossing flank not plain at {cp}")
-    hpath = paths[eh]
-    ih = hpath.index(_hole_entry(hpath, cp))
-    left_first = b.coords[hpath[ih - 1]].xu < b.coords[hpath[ih + 1]].xu
-    b.delete_node(hm1)
-    b.delete_node(hp1)
-    chain_pts = [Point(x - 30, y + 10), Point(x - 10, y + 10),
-                 Point(x + 10, y + 10), Point(x + 30, y + 10)]
-    c1, c2, c3, c4 = (b.new_node(pt, Provenance(ROLE_SUBDIVISION, edge=eh))
-                      for pt in chain_pts)
-    for pt, nid in zip(chain_pts, (c1, c2, c3, c4)):
-        node_at[pt] = nid
-    for a_, b_ in ((hm2, c1), (c1, c2), (c2, c3), (c3, c4), (c4, hp2)):
-        b.add_edge(a_, b_)
-    replacement = [c1, c2, c3, c4] if left_first else [c4, c3, c2, c1]
-    hpath[ih - 1:ih + 2] = replacement
-
-    # Step 4: plant H on the two crossing edges; roles follow the model
-    # layout around center (x, y + 1/2): v0 right, v1 top, v2 left, v3 bottom.
-    # construct_H_on runs on the subgraph induced by the four cycle vertices,
-    # relabelled 0..3: its preconditions only concern those vertices.
-    vs = (c3, above, c2, v3)
+    vs = (site(Point(x + _HALF, y + _HALF)), site(Point(x, y + SCALE)),
+          site(Point(x - _HALF, y + _HALF)), site(cp))
     local = Graph(4, frozenset((i, j) for i in range(4) for j in range(i + 1, 4)
                                if vs[j] in b.adj[vs[i]]))
     try:
@@ -233,10 +196,8 @@ def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
     center = Point(x, y + _HALF)
-    w_pts = [center.translate(dx, dy) for dx, dy in W_OFFSETS]
-    ws = tuple(b.new_node(pt, Provenance(ROLE_GADGET_W, crossing=(x, y)))
-               for pt in w_pts)
-    node_at.update(zip(w_pts, ws))
+    ws = tuple(b.new_node(center.translate(dx, dy), Provenance(ROLE_GADGET_W, crossing=(x, y)))
+               for dx, dy in W_OFFSETS)
     ids = vs + ws
     added = tuple(canon_edge(ids[i], ids[j]) for i, j in inst.added_edges)
     for a_, b_ in added:
@@ -244,15 +205,8 @@ def _build_crossing_site(b: _Builder, paths, cross_edges, node_at,
     return GadgetInstance(vs, ws, center, added)
 
 
-def _hole_entry(path: list, cp: Point):
-    for ent in path:
-        if isinstance(ent, tuple) and ent[1] == cp:
-            return ent
-    raise ConstructionError(f"crossing {cp} not found on its path")
-
-
 def _apply_parity_detour(b: _Builder, paths, e: Edge):
-    """Step 5: bend one straight horizontal unit edge of e through an apex.
+    """Step 4: bend one straight horizontal unit edge of e through an apex.
 
     Site rule: six consecutive path vertices on one mesh row, all at integer
     mesh crosses with degree at most 2, the detour applied to the middle
@@ -275,10 +229,10 @@ def _apply_parity_detour(b: _Builder, paths, e: Edge):
         if any(len(b.adj[nid]) > 2 for nid in window):
             continue
         left, right = (window[2], window[3]) if pts[2].xu < pts[3].xu else (window[3], window[2])
-        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right, window[2], window[3]))
+        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right, i))
     if not candidates:
         raise ConstructionError(f"no parity detour site on edge {e}")
-    _, left, right, mid_a, mid_b = min(candidates)
+    _, left, right, i = min(candidates)
     xl, yl = b.coords[left].xu, b.coords[left].yu
     b.coords[left] = Point(xl - _QUARTER, yl)
     b.coords[right] = Point(xl + SCALE + _QUARTER, yl)
@@ -287,12 +241,7 @@ def _apply_parity_detour(b: _Builder, paths, e: Edge):
     b.remove_edge(left, right)
     b.add_edge(apex, left)
     b.add_edge(apex, right)
-    i = path.index(mid_a)
-    if path[i + 1] != mid_b:
-        raise ConstructionError("detour site not consecutive on its path")
-    path[i + 1:i + 1] = [apex]
-    if (len(path) - 2) % 2 == 1:
-        raise ConstructionError(f"parity repair failed on edge {e}")
+    path.insert(i + 3, apex)
 
 
 def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, paths,
@@ -466,5 +415,5 @@ def load_output_json(text: str) -> LoadedOutput:
         model = ProximityModel(graph_obj, tuple(points))
         return LoadedOutput(model, _json_int(payload.get("k", 0), "k"),
                             _json_int(payload.get("t", 0), "t"), roles)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed model JSON: {exc}") from exc

@@ -271,13 +271,17 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     """Returns [] when td satisfies the three decomposition properties for g.
 
     One pass over the bags lists the bags holding each vertex; an edge is
-    covered when the bag sets of its two ends meet.
+    covered when the bag sets of its two ends meet.  A bag entry that is not
+    a vertex of g, or a tree edge naming a bag that does not exist, is a
+    problem of its own and is otherwise ignored.
     """
-    problems = []
     holding: dict[int, set[int]] = {}
     for i, b in enumerate(td.bags):
         for v in b:
             holding.setdefault(v, set()).add(i)
+    stray = [v for v in holding if not 0 <= v < g.n]
+    problems = [f"bag {i} holds {v}, which is not a vertex of the {g.n}-vertex graph"
+                for i, v in sorted((i, v) for v in stray for i in holding.pop(v))]
     covered = set(holding)
     if covered != set(range(g.n)):
         problems.append(f"vertices missing from bags: {set(range(g.n)) - covered}")
@@ -288,6 +292,10 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     nbags = len(td.bags)
     tree_adj: dict[int, set[int]] = {i: set() for i in range(nbags)}
     for i, j in td.tree:
+        if not (0 <= i < nbags and 0 <= j < nbags):
+            problems.append(f"tree edge {(i, j)} names a bag that does not exist; "
+                            f"there are {nbags}")
+            continue
         tree_adj[i].add(j)
         tree_adj[j].add(i)
     if nbags > 1:

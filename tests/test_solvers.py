@@ -469,7 +469,6 @@ def test_validation_of_hand_built_decompositions_matches_a_rescan():
         (path, TreeDecomposition([frozenset({0, 1}), frozenset({2})], [(0, 1)])),
         (edge, TreeDecomposition([frozenset({0, 1}), frozenset({1}), frozenset({0, 1})],
                                  [(0, 1), (1, 2)])),
-        (edge, TreeDecomposition([frozenset({0, 1}), frozenset({1, 7})], [(0, 1)])),
         (graph(6, [(0, 5), (1, 4)]), TreeDecomposition([frozenset({3})], [])),
         (graph(3), TreeDecomposition([], [])),
         (_grid_graph(3, 4), TreeDecomposition([frozenset(range(i, i + 5)) for i in range(8)],
@@ -480,4 +479,27 @@ def test_validation_of_hand_built_decompositions_matches_a_rescan():
     cases += [(petersen, _rerooted(td, r)) for r in range(len(td.bags))]
     for g, td in cases:
         assert validate_tree_decomposition(g, td) == _validate_by_rescanning(g, td)
-    assert [validate_tree_decomposition(g, td) != [] for g, td in cases[:7]] == [True] * 7
+    assert [validate_tree_decomposition(g, td) != [] for g, td in cases[:6]] == [True] * 6
+
+
+def test_validation_names_bag_entries_and_tree_edges_out_of_range():
+    edge = graph(2, [(0, 1)])
+    both = frozenset({0, 1})
+
+    def problems(bags, tree):
+        return validate_tree_decomposition(edge, TreeDecomposition(bags, tree))
+
+    assert problems([both], [(0, 5)]) == [
+        "tree edge (0, 5) names a bag that does not exist; there are 1"]
+    assert problems([both, frozenset({1, 7})], [(0, 1)]) == [
+        "bag 1 holds 7, which is not a vertex of the 2-vertex graph"]
+    assert problems([both, frozenset({-1, 1})], [(0, 1)]) == [
+        "bag 1 holds -1, which is not a vertex of the 2-vertex graph"]
+    # stray entries come first, by bag; the in-range problems follow unchanged
+    assert problems([frozenset({0, 9, 7}), frozenset({8})], [(-1, 0), (0, 1)]) == [
+        "bag 0 holds 7, which is not a vertex of the 2-vertex graph",
+        "bag 0 holds 9, which is not a vertex of the 2-vertex graph",
+        "bag 1 holds 8, which is not a vertex of the 2-vertex graph",
+        "vertices missing from bags: {1}",
+        "edge (0, 1) in no bag",
+        "tree edge (-1, 0) names a bag that does not exist; there are 2"]
