@@ -122,6 +122,7 @@ def reduce(g: Graph) -> ReductionOutput:
 
     # Step 2: every path in its final form; its edges are consecutive pairs.
     paths: dict[Edge, list[int]] = {}
+    per_edge: dict[Edge, int] = {}  # subdivision vertices on each edge
     for e in sorted(drawn.routes):
         inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
         path = [e[0]] + [b.new_node(pt, Provenance(ROLE_SUBDIVISION, edge=e))
@@ -129,6 +130,7 @@ def reduce(g: Graph) -> ReductionOutput:
         for a_, b_ in zip(path, path[1:]):
             b.add_edge(a_, b_)
         paths[e] = path
+        per_edge[e] = len(inner)
 
     # Step 3: the gadget on every crossing.
     node_at = {pt: nid for nid, pt in b.coords.items()}
@@ -136,10 +138,11 @@ def reduce(g: Graph) -> ReductionOutput:
 
     # Step 4: restore even parity per original edge.
     for e in sorted(paths):
-        if (len(paths[e]) - 2) % 2 == 1:
-            _apply_parity_detour(b, paths, e)
+        if per_edge[e] % 2 == 1:
+            _apply_parity_detour(b, paths[e], e)
+            per_edge[e] += 1
 
-    return _finalize(g, drawn, b, paths, gadgets)
+    return _finalize(g, drawn, b, per_edge, gadgets)
 
 
 def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
@@ -205,8 +208,9 @@ def _plant_gadget(b: _Builder, node_at: dict[Point, int], cp: Point) -> GadgetIn
     return GadgetInstance(vs, ws, center, added)
 
 
-def _apply_parity_detour(b: _Builder, paths, e: Edge):
-    """Step 4: bend one straight horizontal unit edge of e through an apex.
+def _apply_parity_detour(b: _Builder, path: list[int], e: Edge):
+    """Step 4: bend one straight horizontal unit edge of path, the step-2
+    path of e, through an apex.
 
     Site rule: six consecutive path vertices on one mesh row, all at integer
     mesh crosses with degree at most 2, the detour applied to the middle
@@ -214,7 +218,6 @@ def _apply_parity_detour(b: _Builder, paths, e: Edge):
     admit sites one unit from a crossing chain or a route corner where the
     apex would land within distance 1 of a non-neighbor.
     """
-    path = paths[e]
     candidates = []
     for i in range(len(path) - 5):
         window = path[i:i + 6]
@@ -229,10 +232,10 @@ def _apply_parity_detour(b: _Builder, paths, e: Edge):
         if any(len(b.adj[nid]) > 2 for nid in window):
             continue
         left, right = (window[2], window[3]) if pts[2].xu < pts[3].xu else (window[3], window[2])
-        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right, i))
+        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right))
     if not candidates:
         raise ConstructionError(f"no parity detour site on edge {e}")
-    _, left, right, i = min(candidates)
+    _, left, right = min(candidates)
     xl, yl = b.coords[left].xu, b.coords[left].yu
     b.coords[left] = Point(xl - _QUARTER, yl)
     b.coords[right] = Point(xl + SCALE + _QUARTER, yl)
@@ -241,10 +244,9 @@ def _apply_parity_detour(b: _Builder, paths, e: Edge):
     b.remove_edge(left, right)
     b.add_edge(apex, left)
     b.add_edge(apex, right)
-    path.insert(i + 3, apex)
 
 
-def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, paths,
+def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, per_edge: dict[Edge, int],
               gadgets: list[GadgetInstance]) -> ReductionOutput:
     # canonical ids: originals keep 0..n-1, the rest ordered by coordinates
     others = sorted((nid for nid in b.coords if nid >= g.n),
@@ -262,7 +264,6 @@ def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, paths,
         points[remap[nid]] = pt
         provenance[remap[nid]] = b.prov[nid]
     model = ProximityModel(result, tuple(points))
-    per_edge = {e: len(paths[e]) - 2 for e in paths}
     t = sum(per_edge.values())
     k = len(gadgets)
     gadgets = [GadgetInstance(tuple(remap[v] for v in inst.v_ids),

@@ -193,6 +193,16 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     of the two ends of each fill edge, whose fill just dropped and is
     recomputed when they are next popped.  A key equal to the last one
     pushed for its vertex is still in the heap, so it is not pushed again.
+
+    Most vertices of a reduction output subdivide an edge, so the common
+    step eliminates a vertex v of degree 2 whose neighbours a and b are not
+    adjacent.  The fill edge ab then takes v's place in both neighbourhoods:
+    neither degree changes, and the fill of each end drops by exactly the
+    number of common neighbours of a and b.  A cached key of a or b is
+    lowered by that count in O(1), and is left as it is, not pushed, when
+    there are none; a cleared key is recomputed.  Every other elimination
+    recomputes the keys of all its neighbours.  The elimination order, and
+    so the bags and the tree, are the same either way.
     """
     n = g.n
     if n == 0:
@@ -238,18 +248,36 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
         order.append(v)
         eliminated[v] = True
         nbrs = adj[v]  # no longer changes: v has left every other set
-        bags.append(frozenset({v} | nbrs))
         bag_neighbors.append(nbrs)
         for a in nbrs:
             adj[a].discard(v)
-        for a, b in combinations(sorted(nbrs), 2):
+        drop = None  # how far the fill of each neighbour fell, where known
+        if len(nbrs) == 2:
+            a, b = nbrs
+            bags.append(frozenset((v, a, b)))
             if b not in adj[a]:
-                for w in adj[a] & adj[b]:
+                common = adj[a] & adj[b]
+                for w in common:
                     keys[w] = None
                 adj[a].add(b)
                 adj[b].add(a)
+                drop = len(common)
+        else:
+            bags.append(frozenset({v} | nbrs))
+            for a, b in combinations(sorted(nbrs), 2):
+                if b not in adj[a]:
+                    for w in adj[a] & adj[b]:
+                        keys[w] = None
+                    adj[a].add(b)
+                    adj[b].add(a)
         for a in nbrs:
-            k = keys[a] = key(a)
+            k = keys[a]
+            if k is None or drop is None:
+                k = keys[a] = key(a)
+            elif drop:
+                k = keys[a] = (k[0] - drop, k[1], a)
+            else:
+                continue
             if k != pushed[a]:
                 pushed[a] = k
                 heapq.heappush(heap, k)

@@ -318,3 +318,17 @@ def test_deeply_nested_model_json_exits_2(tmp_path, capsys, command):
     src = tmp_path / "deep.json"
     src.write_text('{"a":' * 100000)
     _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+def test_a_graph_over_the_vertex_ceiling_exits_2(tmp_path, capsys, monkeypatch, command):
+    # 13 bytes naming 3e9 vertices: refused while parsing, before any work
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph over the ceiling reached a solver")
+
+    for name in ("reduce", "max_cut_bruteforce", "max_cut_treewidth_dp"):
+        monkeypatch.setattr(f"udgcut.cli.{name}", refuse)
+    src = tmp_path / "huge.txt"
+    src.write_text("3000000000 0")
+    err = _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
+    assert "3000000000 vertices exceed the limit" in err

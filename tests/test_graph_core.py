@@ -5,8 +5,8 @@ import random
 import pytest
 
 from udgcut.errors import InputError
-from udgcut.graph_core import (complete_graph, cut_size, cycle_graph,
-                               disjoint_union, format_graph_text, graph,
+from udgcut.graph_core import (MAX_VERTICES, complete_graph, cut_size,
+                               cycle_graph, disjoint_union, format_graph_text, graph,
                                max_degree, parse_graph_text, path_graph,
                                petersen_graph, random_graph, subdivide_edge_twice,
                                subdivide_randomly)
@@ -169,3 +169,11 @@ def test_text_format_round_trip():
         parse_graph_text("3 2\n0 1\n")
     with pytest.raises(InputError):
         parse_graph_text("3 one\n")
+
+
+def test_text_format_vertex_ceiling():
+    assert parse_graph_text(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 3_000_000_000):
+        with pytest.raises(InputError,
+                           match=f"{n} vertices exceed the limit of {MAX_VERTICES}"):
+            parse_graph_text(f"{n} 0")

@@ -1,13 +1,16 @@
 """The end-to-end reduction: geometry of the output model, the 8k + t cut
 identity, parity bookkeeping, doubling, and the JSON contract."""
 
+import ast
 import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import udgcut.reduction
 from udgcut.drawing import StandardReport
 from udgcut.errors import ConstructionError, InconsistencyError, InputError
 from udgcut.gadget import build_H, h_model
@@ -321,3 +324,15 @@ def test_a_missing_site_vertex_names_the_crossing():
     node_at = {pt: nid for nid, pt in b.coords.items()}
     with pytest.raises(ConstructionError, match=re.escape(f"near crossing {cp}")):
         _plant_gadget(b, node_at, cp)
+
+
+def test_the_traced_benchmark_finds_every_callee_it_wraps():
+    # perfbench/tracer.py swaps these names in udgcut.reduction's globals;
+    # one that is gone makes `perfbench/run.py --trace 1` fail on getattr
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    callees = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["REDUCTION_CALLEES"])
+    missing = [name for name in callees
+               if not callable(getattr(udgcut.reduction, name, None))]
+    assert callees and missing == []

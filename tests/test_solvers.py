@@ -1,8 +1,9 @@
 """Exact solvers: brute force, balanced brute force, and the treewidth DP."""
 
+import heapq
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 import udgcut.solvers
 from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitError
-from udgcut.graph_core import (Cut, complete_graph, cut_size, cycle_graph,
-                               disjoint_union, graph, path_graph, petersen_graph,
-                               random_graph, subdivide_randomly)
+from udgcut.graph_core import (Cut, adjacency, complete_graph, cut_size,
+                               cycle_graph, disjoint_union, graph, path_graph,
+                               petersen_graph, random_graph, subdivide_randomly)
 from udgcut.solvers import (TreeDecomposition, greedy_tree_decomposition,
                             max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp, validate_tree_decomposition)
@@ -192,6 +193,128 @@ def test_tree_decomposition_validity_random():
         g = random_graph(rng, rng.randint(1, 12), p=rng.uniform(0.1, 0.8))
         td = greedy_tree_decomposition(g)
         assert validate_tree_decomposition(g, td) == []
+
+
+def _min_fill_by_rekeying_every_neighbour(g):
+    """greedy_tree_decomposition as it was before its degree-2 shortcut,
+    when every elimination recomputed the keys of all of its neighbours:
+    the reference for its bags and tree."""
+    n = g.n
+    if n == 0:
+        return TreeDecomposition([frozenset()], [])
+    adj = adjacency(g)
+
+    def key(v: int) -> tuple[int, int, int]:
+        nbrs = adj[v]
+        deg = len(nbrs)
+        if deg <= 1:
+            return 0, deg, v
+        if deg == 2:
+            a, b = nbrs
+            return (0 if b in adj[a] else 1), 2, v
+        links = 0  # twice the number of edges among the neighbours
+        for a in nbrs:
+            links += len(adj[a] & nbrs)
+        return (deg * (deg - 1) - links) // 2, deg, v
+
+    keys: list[tuple[int, int, int] | None] = [key(v) for v in range(n)]
+    pushed = list(keys)
+    heap = list(keys)
+    heapq.heapify(heap)
+    eliminated = [False] * n
+    order: list[int] = []
+    elim_index: dict[int, int] = {}
+    bags: list[frozenset[int]] = []
+    bag_neighbors: list[set[int]] = []
+    while len(order) < n:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if eliminated[v]:
+            continue
+        current = keys[v]
+        if current is None:
+            current = keys[v] = key(v)
+        if current != entry:
+            if current != pushed[v]:
+                pushed[v] = current
+                heapq.heappush(heap, current)
+            continue
+        elim_index[v] = len(order)
+        order.append(v)
+        eliminated[v] = True
+        nbrs = adj[v]  # no longer changes: v has left every other set
+        bags.append(frozenset({v} | nbrs))
+        bag_neighbors.append(nbrs)
+        for a in nbrs:
+            adj[a].discard(v)
+        for a, b in combinations(sorted(nbrs), 2):
+            if b not in adj[a]:
+                for w in adj[a] & adj[b]:
+                    keys[w] = None
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nbrs:
+            k = keys[a] = key(a)
+            if k != pushed[a]:
+                pushed[a] = k
+                heapq.heappush(heap, k)
+
+    # Connect each bag to the bag of its earliest-eliminated remaining
+    # neighbor; bags with no remaining neighbor attach to the next bag.
+    tree = []
+    for i in range(n - 1):
+        nbrs = bag_neighbors[i]
+        if nbrs:
+            parent = min(elim_index[a] for a in nbrs)
+        else:
+            parent = i + 1
+        tree.append((i, parent))
+    return TreeDecomposition(bags, tree)
+
+
+@st.composite
+def _subdivided_graphs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 10))
+    g = random_graph(rng, n, p=draw(st.sampled_from([0.2, 0.4, 0.7, 1.0])),
+                     max_deg=draw(st.sampled_from([3, 4, None])))
+    return subdivide_randomly(rng, g, max_n=draw(st.integers(n, 40)))
+
+
+def _subdivided_once(g):
+    n, edges = g.n, []
+    for i, (u, v) in enumerate(g.sorted_edges()):
+        edges += [(u, n + i), (n + i, v)]
+    return graph(n + g.m, edges)
+
+
+def _wheel(spokes):
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return graph(spokes + 1, [(0, i) for i in range(1, spokes + 1)] + rim)
+
+
+def _assert_min_fill_matches_the_reference(g):
+    td, ref = greedy_tree_decomposition(g), _min_fill_by_rekeying_every_neighbour(g)
+    assert (td.bags, td.tree) == (ref.bags, ref.tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subdivided_graphs())
+def test_min_fill_matches_the_reference_on_subdivided_graphs(g):
+    _assert_min_fill_matches_the_reference(g)
+
+
+def test_min_fill_matches_the_reference_where_a_fill_edge_has_common_neighbours():
+    # eliminating a subdivision vertex of K4 or of a wheel joins two ends
+    # that already share neighbours, so their fill drops by that many.  In
+    # the 4-cycle 0-3-4-2 with vertex 1 joined to 0, 2 and 4, subdivided
+    # once, an end whose key such a fill edge cleared is the end of a later
+    # degree-2 elimination before it is popped again.
+    four_cycle_and_hub = graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
+    for g in (complete_graph(4), _wheel(5), four_cycle_and_hub, _wheel(4),
+              petersen_graph(), complete_graph(5), _grid_graph(3, 3)):
+        _assert_min_fill_matches_the_reference(_subdivided_once(g))
+        _assert_min_fill_matches_the_reference(_subdivided_once(_subdivided_once(g)))
 
 
 def test_dp_examples():
