@@ -15,6 +15,7 @@ and separates vertices, crossing points and carrier lines all at once.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -80,22 +81,29 @@ def _placement_order(g: Graph) -> list[int]:
     the placement order, and the width of the tree decompositions of the
     reduced graph tracks that cut; appending the vertex that closes the most
     open edges keeps it low.  Deterministic: ties fall to the smaller id.
+
+    A heap holds each unplaced vertex keyed by (opening - closing, opening,
+    id).  Placing a vertex lowers each unplaced neighbour's key by (2, 1)
+    and pushes the lowered key; the entry it replaces is larger, so it pops
+    after the vertex is placed and is dropped then.
     """
     adj = adjacency(g)
-    placed: set[int] = set()
+    closing = [0] * g.n
+    placed = [False] * g.n
+    heap = [(len(adj[x]), len(adj[x]), x) for x in range(g.n)]
+    heapq.heapify(heap)
     order: list[int] = []
-    while len(order) < g.n:
-        best = None
-        for x in range(g.n):
-            if x in placed:
-                continue
-            closing = sum(1 for y in adj[x] if y in placed)
-            opening = len(adj[x]) - closing
-            key = (opening - closing, opening, x)
-            if best is None or key < best[0]:
-                best = (key, x)
-        order.append(best[1])
-        placed.add(best[1])
+    while heap:
+        x = heapq.heappop(heap)[2]
+        if placed[x]:
+            continue
+        placed[x] = True
+        order.append(x)
+        for y in adj[x]:
+            if not placed[y]:
+                closing[y] += 1
+                opening = len(adj[y]) - closing[y]
+                heapq.heappush(heap, (opening - closing[y], opening, y))
     return order
 
 
@@ -388,6 +396,29 @@ class StandardReport:
                 and self.vertex_crossing_ok and self.parallel_lines_ok)
 
 
+def _first_pair_closer_than_ten(ps: list[Point], qs: list[Point] | None = None):
+    """The first (ps[i], qs[j]) in (i, j) order less than 10 mesh units
+    apart, or None; qs=None pairs ps with itself, taking only j > i.
+
+    qs is bucketed into cells 10 mesh units wide, so a close pair lies in
+    the same or a neighbouring cell.
+    """
+    same = qs is None
+    if same:
+        qs = ps
+    cells: dict[tuple[int, int], list[int]] = {}
+    for j, q in enumerate(qs):
+        cells.setdefault((q.xu // _TEN, q.yu // _TEN), []).append(j)
+    for i, p in enumerate(ps):
+        cx, cy = p.xu // _TEN, p.yu // _TEN
+        close = [j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                 for j in cells.get((cx + dx, cy + dy), ())
+                 if (not same or j > i) and dist2_units(p, qs[j]) < _TEN2_UNITS]
+        if close:
+            return p, qs[min(close)]
+    return None
+
+
 def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport:
     """Check conditions: (i) crossing-crossing, (ii) vertex-vertex,
     (iii) vertex-crossing distances >= 10, and (iv) distinct parallel carrier
@@ -395,26 +426,13 @@ def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport
     including two lines used by the same edge).  xreport is crossings(d)."""
     xs = [c.point for c in xreport]
     vs = sorted(d.placement.values())
-    report = StandardReport(True, True, True, True)
-
-    def far(p: Point, q: Point) -> bool:
-        return dist2_units(p, q) >= _TEN2_UNITS
-
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if not far(xs[i], xs[j]):
-                report.crossing_pairs_ok = False
-                report.witnesses.setdefault("crossing_pairs", (xs[i], xs[j]))
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not far(vs[i], vs[j]):
-                report.vertex_pairs_ok = False
-                report.witnesses.setdefault("vertex_pairs", (vs[i], vs[j]))
-    for v in vs:
-        for x in xs:
-            if not far(v, x):
-                report.vertex_crossing_ok = False
-                report.witnesses.setdefault("vertex_crossing", (v, x))
+    close = {"crossing_pairs": _first_pair_closer_than_ten(xs),
+             "vertex_pairs": _first_pair_closer_than_ten(vs),
+             "vertex_crossing": _first_pair_closer_than_ten(vs, xs)}
+    report = StandardReport(
+        close["crossing_pairs"] is None, close["vertex_pairs"] is None,
+        close["vertex_crossing"] is None, True,
+        {name: pair for name, pair in close.items() if pair is not None})
     carrier_rows = set()
     carrier_cols = set()
     for route in d.routes.values():

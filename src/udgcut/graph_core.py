@@ -15,9 +15,12 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 
-# The most vertices a graph file may name.  `reduce` is quadratic in n even
-# on an edgeless graph, the cheapest input of its size: 1.1 s at 1 000
-# vertices, 4.1 s at 2 000 and 72 s at 8 000 (Python 3.11, 2 vCPUs).
+# The most vertices a graph file may name.  On an edgeless graph, the
+# cheapest input of its size, `reduce` is near-linear: 0.02 s at 1 000
+# vertices, 0.05 s at 2 000 and 0.2 s at 8 000 (Python 3.11, 2 vCPUs).
+# Edges cost far more, since the drawing checks are quadratic in the
+# drawing's segments: cycle_graph(120) takes 1.1 s and cycle_graph(300) 6 s,
+# so graphs with edges reach minutes long before this limit.
 MAX_VERTICES = 8000
 
 

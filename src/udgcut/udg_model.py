@@ -1,6 +1,13 @@
 """Proximity models of unit disk graphs: validation against the
 distance-at-most-one adjacency rule, precision, and the planarity dichotomy
 for precision strictly above 1/sqrt(2).
+
+Both checks of a model read one cached scan of its points: a grid of cells
+one unit wide yields every pair within one unit once, checks it against the
+edge set as it goes, and records the least squared distance among those
+pairs (the fixed-radius near-neighbour grid of Bentley, Stanat and Williams,
+1977).  A point set with no pair within one unit is scanned again with the
+radius and the cell width doubled, until a pair turns up.
 """
 
 from __future__ import annotations
@@ -8,7 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (DegenerateOverlapError, InputError, TheoremViolationError,
                      UndefinedPrecisionError)
@@ -19,6 +28,15 @@ from .graph_core import Edge, Graph
 PLANAR_BY_THEOREM = "planar_by_theorem"
 PLANAR_BY_CHECK = "planar_by_check"
 NOT_PLANAR_DRAWING = "not_planar_drawing"
+
+
+class _Scan(NamedTuple):
+    """What validate_model and precision2 need to know of a model."""
+
+    missing: list[Edge]  # close pairs that are not edges, sorted
+    spurious: list[Edge]  # edges that are not close pairs, sorted
+    coincident: Edge | None  # the smallest pair of equal points
+    closest: int | None  # least dist2_units over all pairs; None below 2 points
 
 
 @dataclass(frozen=True)
@@ -33,44 +51,86 @@ class ProximityModel:
             raise InputError(
                 f"{len(self.points)} points for {self.graph.n} vertices")
 
+    @cached_property
+    def _scan(self) -> _Scan:
+        """The one scan of the points that validate_model and precision2
+        read; kept, since neither the points nor the graph can change."""
+        pts = self.points
+        edges = self.graph.edges
+        missing = []
+        matched = 0
+        coincident = None
+        best = ONE_DIST2_UNITS + 1
+        for d, i, j in _pairs_within(pts, SCALE):
+            if d < best:
+                best = d
+            if not d and (coincident is None or (i, j) < coincident):
+                coincident = (i, j)
+            if (i, j) in edges:
+                matched += 1
+            else:
+                missing.append((i, j))
+        # every edge counted once among the close pairs leaves none spurious
+        spurious = [] if matched == len(edges) else sorted(
+            (u, v) for u, v in edges
+            if dist2_units(pts[u], pts[v]) > ONE_DIST2_UNITS)
+        if best > ONE_DIST2_UNITS:
+            best = _closest_beyond_one(pts) if len(pts) >= 2 else None
+        return _Scan(sorted(missing), spurious, coincident, best)
 
-def _grid_buckets(points: tuple[Point, ...]) -> dict[tuple[int, int], list[int]]:
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(points):
-        buckets.setdefault((p.xu // SCALE, p.yu // SCALE), []).append(i)
-    return buckets
 
+def _pairs_within(points: tuple[Point, ...], width: int):
+    """(dist2_units, i, j) for every index pair i < j at most width units
+    (1/20 of a mesh unit each) apart, each once.
 
-def _pairs_within(points: tuple[Point, ...], limit_units2: int):
-    """All index pairs (i < j) with dist2_units <= limit_units2.
-
-    Bucket width is one mesh unit; a query of radius r mesh units scans the
-    ceil(r) surrounding rings of buckets.  Each unordered pair of buckets is
-    scanned once: a bucket with itself, and with the neighbours at offsets
-    (dx, dy) > (0, 0).
+    Cells are width units wide, so such a pair lies in one cell or in two
+    neighbouring ones.  Each cell is scanned with itself and with the four
+    neighbours after it, (0, 1), (1, -1), (1, 0) and (1, 1).  A cell is
+    keyed by cx * stride + cy, where stride is the number of rows plus two,
+    so no two cells share a key and no offset reaches a cell of another
+    column.
     """
-    radius_units = isqrt(max(limit_units2 - 1, 0)) + 1
-    rings = (radius_units + SCALE - 1) // SCALE
-    offsets = [(dx, dy) for dx in range(-rings, rings + 1)
-               for dy in range(-rings, rings + 1) if (dx, dy) > (0, 0)]
-    buckets = _grid_buckets(points)
-    for (bx, by), members in buckets.items():
-        for a, i in enumerate(members):
-            xi, yi = points[i]
-            for j in members[a + 1:]:  # members ascend, so i < j
-                xj, yj = points[j]
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit_units2:
-                    yield i, j
-        for dx, dy in offsets:
-            other = buckets.get((bx + dx, by + dy))
+    if not points:
+        return
+    row = itemgetter(1)
+    stride = (max(points, key=row).yu // width
+              - min(points, key=row).yu // width + 3)
+    cells: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (x, y) in enumerate(points):  # so ids ascend within a cell
+        cells.setdefault(x // width * stride + y // width, []).append((x, y, i))
+    limit = width * width
+    offsets = (1, stride - 1, stride, stride + 1)
+    for key, members in cells.items():
+        if len(members) > 1:
+            for a, (xi, yi, i) in enumerate(members):
+                for xj, yj, j in members[a + 1:]:
+                    d = (xi - xj) ** 2 + (yi - yj) ** 2
+                    if d <= limit:
+                        yield d, i, j
+        for offset in offsets:
+            other = cells.get(key + offset)
             if other is None:
                 continue
-            for i in members:
-                xi, yi = points[i]
-                for j in other:
-                    xj, yj = points[j]
-                    if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit_units2:
-                        yield (i, j) if i < j else (j, i)
+            for xi, yi, i in members:
+                for xj, yj, j in other:
+                    d = (xi - xj) ** 2 + (yi - yj) ** 2
+                    if d <= limit:
+                        yield (d, i, j) if i < j else (d, j, i)
+
+
+def _closest_beyond_one(points: tuple[Point, ...]) -> int:
+    """Least dist2_units of two or more points with no pair within one unit.
+
+    Doubles the radius until a pair lies within it; the closest pair then
+    lies within it too.  The cells grow with the radius, so each pass still
+    looks at four neighbour cells per cell.
+    """
+    width = SCALE
+    while True:
+        width *= 2
+        best = min((d for d, _, _ in _pairs_within(points, width)), default=None)
+        if best is not None:
+            return best
 
 
 @dataclass
@@ -86,35 +146,24 @@ def validate_model(m: ProximityModel) -> ModelReport:
     """Check adjacency iff distance <= 1 over all vertex pairs.
 
     Tangency counts as intersecting, so dist2 == 1 requires an edge.
-    Coincident points are rejected outright.
+    Coincident points are rejected outright, naming the smallest such pair.
     """
+    scan = m._scan
+    if scan.coincident is not None:
+        i, j = scan.coincident
+        raise InputError(f"coincident points for vertices {i} and {j}")
     pts = m.points
-    close_pairs = set()
-    for i, j in _pairs_within(pts, ONE_DIST2_UNITS):
-        if pts[i] == pts[j]:
-            raise InputError(f"coincident points for vertices {i} and {j}")
-        close_pairs.add((i, j))
-    missing = sorted(close_pairs - m.graph.edges)
-    spurious = sorted(m.graph.edges - close_pairs)
-    report = ModelReport(ok=not missing and not spurious)
-    report.missing_edges = [(u, v, dist2(pts[u], pts[v])) for u, v in missing]
-    report.spurious_edges = [(u, v, dist2(pts[u], pts[v])) for u, v in spurious]
-    return report
+    return ModelReport(
+        ok=not scan.missing and not scan.spurious,
+        missing_edges=[(u, v, dist2(pts[u], pts[v])) for u, v in scan.missing],
+        spurious_edges=[(u, v, dist2(pts[u], pts[v])) for u, v in scan.spurious])
 
 
 def precision2(m: ProximityModel) -> Fraction:
     """Minimum pairwise squared distance (the squared precision lambda^2)."""
-    pts = m.points
-    n = len(pts)
-    if n < 2:
+    if len(m.points) < 2:
         raise UndefinedPrecisionError("precision needs at least two points")
-    # the pairs within one mesh unit, when there are any, include the closest
-    best = min((dist2_units(pts[i], pts[j])
-                for i, j in _pairs_within(pts, ONE_DIST2_UNITS)), default=None)
-    if best is None:
-        best = min(dist2_units(pts[i], pts[j])
-                   for i in range(n) for j in range(i + 1, n))
-    return Fraction(best, ONE_DIST2_UNITS)
+    return Fraction(m._scan.closest, ONE_DIST2_UNITS)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Golden hashes: the SHA-256 of the model JSON that `reduce` emits, of the
-min-fill tree decomposition of that model, and of the brute-force oracles'
-answers are pinned, so a change to how the reduction, the decomposition or the
-enumeration is built cannot change its output by a single byte without this
-file changing too."""
+min-fill tree decomposition of that model, of the model checks' reports and of
+the brute-force oracles' answers are pinned, so a change to how the reduction,
+the decomposition, the model scan or the enumeration is built cannot change
+its output by a single byte without this file changing too."""
 
 import hashlib
 import json
@@ -11,12 +11,13 @@ import random
 import pytest
 
 from udgcut.gadget import h_model
-from udgcut.graph_core import (complete_graph, cycle_graph, graph, petersen_graph,
-                               random_graph)
+from udgcut.graph_core import (Graph, complete_graph, cycle_graph, graph,
+                               petersen_graph, random_graph)
 from udgcut.reduction import reduce, to_json
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
                             max_cut_bruteforce)
-from udgcut.udg_model import ProximityModel
+from udgcut.udg_model import (ProximityModel, precision2, random_precise_model,
+                              validate_model)
 
 # label: (graph, SHA-256 of to_json(reduce(g)), SHA-256 of
 # greedy_tree_decomposition(reduce(g).result))
@@ -89,6 +90,39 @@ def test_bare_model_json_is_byte_identical():
     assert to_json(ProximityModel(graph(0), ())) == (
         '{"edges":[],"k":0,"per_edge_subdivisions":[],"scale":20,'
         '"source":{"edges":[],"n":0},"t":0,"vertices":[]}\n')
+
+
+def _model_report_json(m: ProximityModel) -> str:
+    report = validate_model(m)
+    return json.dumps([report.ok,
+                       [[u, v, str(d)] for u, v, d in report.missing_edges],
+                       [[u, v, str(d)] for u, v, d in report.spurious_edges],
+                       str(precision2(m))], separators=(",", ":"))
+
+
+def test_model_reports_are_identical():
+    # sparse boxes leave no pair within one unit, so precision2 looks farther
+    running = hashlib.sha256()
+    rng = random.Random(77)
+    for _ in range(60):
+        m = random_precise_model(rng, rng.randint(2, 16), box=rng.choice([4, 10, 40]))
+        running.update(_model_report_json(m).encode("utf-8"))
+    # reduction outputs with one edge dropped, then one far pair made an edge
+    for _ in range(12):
+        n = rng.randint(3, 8)
+        model = reduce(random_graph(rng, n, p=rng.uniform(0.3, 1.0), max_deg=4)).model
+        edges = model.graph.sorted_edges()
+        if not edges:
+            continue
+        dropped = Graph(model.graph.n, frozenset(edges) - {rng.choice(edges)})
+        running.update(_model_report_json(ProximityModel(dropped, model.points)).encode("utf-8"))
+        u, v = sorted(rng.sample(range(model.graph.n), 2))
+        while (u, v) in model.graph.edges:
+            u, v = sorted(rng.sample(range(model.graph.n), 2))
+        added = Graph(model.graph.n, model.graph.edges | {(u, v)})
+        running.update(_model_report_json(ProximityModel(added, model.points)).encode("utf-8"))
+    assert running.hexdigest() == (
+        "647f934365f2819c3d94133535c732d08b70f5de8292a6aa2cc04ff45c381bf6")
 
 
 def _answer_json(result) -> str:

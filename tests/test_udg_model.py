@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udgcut.errors import InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
-from udgcut.geometry import HALF_DIST2_UNITS, ONE_DIST2_UNITS, Point, dist2_units
+from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2, dist2_units
 from udgcut.graph_core import Graph, graph
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
                               PLANAR_BY_THEOREM, ProximityModel, _pairs_within,
@@ -63,6 +65,11 @@ def test_precision2_examples():
         precision2(ProximityModel(graph(1), (Point.mesh(0, 0),)))
 
 
+def _close_pairs_by_all_pairs(pts, limit):
+    return {(dist2_units(pts[i], pts[j]), i, j) for i in range(len(pts))
+            for j in range(i + 1, len(pts)) if dist2_units(pts[i], pts[j]) <= limit}
+
+
 def test_precision2_is_the_closest_pair():
     rng = random.Random(71)
     inputs = []
@@ -71,9 +78,9 @@ def test_precision2_is_the_closest_pair():
         box = rng.choice([2, 10, 200]) * 20
         inputs.append(tuple({Point(rng.randrange(box), rng.randrange(box))
                              for _ in range(n)}))
-    # Negative coordinates, points on bucket boundaries (multiples of one
-    # mesh unit), and pairs at exactly 1/sqrt(2) and 1, within one bucket
-    # and across buckets: (-40, -40) to (-28, -24) is 12, 16 units.
+    # Negative coordinates, points on cell boundaries (multiples of one
+    # mesh unit), and pairs at exactly 1/sqrt(2) and 1, within one cell
+    # and across cells: (-40, -40) to (-28, -24) is 12, 16 units.
     lattice = [Point(x, y) for x in range(-40, 21, 10) for y in range(-40, 21, 10)]
     inputs.append(tuple(lattice + [Point(-28, -24), Point(-21, 19), Point(-1, -1)]))
     for pts in inputs:
@@ -82,12 +89,100 @@ def test_precision2_is_the_closest_pair():
         closest = min(dist2_units(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
         m = ProximityModel(graph(len(pts)), pts)
         assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
-        for limit in (HALF_DIST2_UNITS, ONE_DIST2_UNITS):
-            found = list(_pairs_within(pts, limit))
+        # radii 14 and 20 units bound 196 and 400 units^2, just under and at
+        # 1/2 and 1 squared mesh unit
+        for width in (14, 20, 40):
+            found = list(_pairs_within(pts, width))
             assert len(found) == len(set(found))
-            assert set(found) == {(i, j) for i in range(len(pts))
-                                  for j in range(i + 1, len(pts))
-                                  if dist2_units(pts[i], pts[j]) <= limit}
+            assert set(found) == _close_pairs_by_all_pairs(pts, width * width)
+
+
+def _report_by_all_pairs(m):
+    pts, edges = m.points, m.graph.edges
+    close = {(i, j) for _, i, j in _close_pairs_by_all_pairs(pts, ONE_DIST2_UNITS)}
+    missing = [(u, v, dist2(pts[u], pts[v])) for u, v in sorted(close - edges)]
+    spurious = [(u, v, dist2(pts[u], pts[v])) for u, v in sorted(edges - close)]
+    return not missing and not spurious, missing, spurious
+
+
+# offsets in units at exactly one mesh unit (400 units^2) and 1/sqrt(2)
+# (200 units^2), and just beyond each
+_PARTNER_OFFSETS = [(20, 0), (0, -20), (12, 16), (-16, 12), (10, 10), (14, -2),
+                    (-10, 10), (21, 0), (10, -11), (15, 0)]
+
+
+@st.composite
+def _point_sets(draw):
+    """Distinct points near cell corners, at negative coordinates and in
+    pairs at exactly one unit and 1/sqrt(2), with some pairs made edges."""
+    corner = st.integers(-3, 3).map(lambda c: 20 * c) | st.integers(-70, 70)
+    jitter = st.sampled_from([0, 0, -1, 1])
+    pts = []
+    for _ in range(draw(st.integers(0, 14))):
+        p = Point(draw(corner) + draw(jitter), draw(corner) + draw(jitter))
+        pts.append(p)
+        if draw(st.booleans()):
+            dx, dy = draw(st.sampled_from(_PARTNER_OFFSETS))
+            pts.append(p.translate(dx, dy))
+    pts = tuple(dict.fromkeys(pts))
+    n = len(pts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    close = [(i, j) for i, j in pairs if dist2_units(pts[i], pts[j]) <= ONE_DIST2_UNITS]
+    kept = [e for e in close if draw(st.integers(0, 9))]  # drop about one in ten
+    added = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return ProximityModel(graph(n, kept + added), pts)
+
+
+@st.composite
+def _sparse_point_sets(draw):
+    """Two or more points with no pair within one unit, some far apart."""
+    step = draw(st.sampled_from([21, 29, 40, 157, 1000]))
+    coords = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+    cells = draw(st.lists(coords, min_size=2, max_size=20, unique=True))
+    return ProximityModel(graph(len(cells)),
+                          tuple(Point(step * a, step * b) for a, b in cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_scan_matches_all_pairs(m):
+    report = validate_model(m)
+    assert (report.ok, report.missing_edges, report.spurious_edges) == _report_by_all_pairs(m)
+    if m.graph.n >= 2:
+        closest = min(d for d, _, _ in _close_pairs_by_all_pairs(m.points, 10 ** 9))
+        assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
+    for width in (14, 20):
+        found = list(_pairs_within(m.points, width))
+        assert len(found) == len(set(found))
+        assert set(found) == _close_pairs_by_all_pairs(m.points, width * width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_point_sets())
+def test_precision2_widens_the_scan_when_no_pair_is_within_one_unit(m):
+    assert list(_pairs_within(m.points, 20)) == []
+    closest = min(dist2_units(p, q) for i, p in enumerate(m.points)
+                  for q in m.points[i + 1:])
+    assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
+    assert validate_model(m).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([Point(-20, -20), Point(0, 0), Point(19, 20),
+                                 Point(40, 0), Point(400, -400)]),
+                min_size=2, max_size=12))
+def test_coincident_points_name_the_smallest_pair(pts):
+    pts = tuple(pts)
+    equal = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+             if pts[i] == pts[j]]
+    m = ProximityModel(graph(len(pts)), pts)
+    if not equal:
+        validate_model(m)
+        return
+    i, j = min(equal)
+    with pytest.raises(InputError, match=f"vertices {i} and {j}$"):
+        validate_model(m)
+    assert precision2(m) == 0
 
 
 def test_straight_line_crossings_of_h_model():
