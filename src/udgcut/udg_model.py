@@ -97,7 +97,12 @@ def _pairs_within(points: tuple[Point, ...], width: int):
               - min(points, key=row).yu // width + 3)
     cells: dict[int, list[tuple[int, int, int]]] = {}
     for i, (x, y) in enumerate(points):  # so ids ascend within a cell
-        cells.setdefault(x // width * stride + y // width, []).append((x, y, i))
+        key = x // width * stride + y // width
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [(x, y, i)]
+        else:
+            cell.append((x, y, i))
     limit = width * width
     offsets = (1, stride - 1, stride, stride + 1)
     for key, members in cells.items():

@@ -89,8 +89,8 @@ def test_precision2_is_the_closest_pair():
         closest = min(dist2_units(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
         m = ProximityModel(graph(len(pts)), pts)
         assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
-        # radii 14 and 20 units bound 196 and 400 units^2, just under and at
-        # 1/2 and 1 squared mesh unit
+        # radii of 14, 20 and 40 units bound 196, 400 and 1 600 units^2:
+        # just under 1/2, exactly 1 and 4 squared mesh units
         for width in (14, 20, 40):
             found = list(_pairs_within(pts, width))
             assert len(found) == len(set(found))
