@@ -19,7 +19,7 @@ Edge = tuple[int, int]
 # cheapest input of its size, `reduce` is near-linear: 0.02 s at 1 000
 # vertices, 0.05 s at 2 000 and 0.2 s at 8 000 (Python 3.11, 2 vCPUs).
 # Edges cost far more, since the drawing checks are quadratic in the
-# drawing's segments: cycle_graph(120) takes 1.1 s and cycle_graph(300) 6 s,
+# drawing's segments: cycle_graph(120) takes 1.1 s and cycle_graph(300) 5 s,
 # so graphs with edges reach minutes long before this limit.
 MAX_VERTICES = 8000
 
