@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, DegenerateOverlapError, InputError
-from .geometry import ONE_DIST2_UNITS, SCALE, Point, dist2_units
+from .geometry import ONE_DIST2_UNITS, SCALE, Point, pairs_within
 from .graph_core import Edge, Graph, adjacency, max_degree
 
 # letter -> (row offset, col offset) of the corridor lines, in mesh units
@@ -398,25 +398,12 @@ class StandardReport:
 
 def _first_pair_closer_than_ten(ps: list[Point], qs: list[Point] | None = None):
     """The first (ps[i], qs[j]) in (i, j) order less than 10 mesh units
-    apart, or None; qs=None pairs ps with itself, taking only j > i.
-
-    qs is bucketed into cells 10 mesh units wide, so a close pair lies in
-    the same or a neighbouring cell.
-    """
-    same = qs is None
-    if same:
-        qs = ps
-    cells: dict[tuple[int, int], list[int]] = {}
-    for j, q in enumerate(qs):
-        cells.setdefault((q.xu // _TEN, q.yu // _TEN), []).append(j)
-    for i, p in enumerate(ps):
-        cx, cy = p.xu // _TEN, p.yu // _TEN
-        close = [j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                 for j in cells.get((cx + dx, cy + dy), ())
-                 if (not same or j > i) and dist2_units(p, qs[j]) < _TEN2_UNITS]
-        if close:
-            return p, qs[min(close)]
-    return None
+    apart, or None; qs=None pairs ps with itself, taking only j > i."""
+    pts = ps if qs is None else ps + qs
+    lo = 0 if qs is None else len(ps)  # where qs starts in pts
+    first = min(((i, j) for d, i, j in pairs_within(pts, _TEN)
+                 if d < _TEN2_UNITS and i < len(ps) and j >= lo), default=None)
+    return None if first is None else (pts[first[0]], pts[first[1]])
 
 
 def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport:

@@ -9,7 +9,9 @@ float.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DegenerateOverlapError, InputError
@@ -66,6 +68,50 @@ def dist2_units(p: Point, q: Point) -> int:
 def dist2(p: Point, q: Point) -> Fraction:
     """Squared distance in squared mesh units (exact rational)."""
     return Fraction(dist2_units(p, q), ONE_DIST2_UNITS)
+
+
+def pairs_within(points: Sequence[Point], width: int):
+    """(dist2_units, i, j) for every index pair i < j at most width units
+    (1/20 of a mesh unit each) apart, each once.
+
+    Cells are width units wide, so such a pair lies in one cell or in two
+    neighbouring ones.  Each cell is scanned with itself and with the four
+    neighbours after it, (0, 1), (1, -1), (1, 0) and (1, 1).  A cell is
+    keyed by cx * stride + cy, where stride is the number of rows plus two,
+    so no two cells share a key and no offset reaches a cell of another
+    column.
+    """
+    if not points:
+        return
+    row = itemgetter(1)
+    stride = (max(points, key=row).yu // width
+              - min(points, key=row).yu // width + 3)
+    cells: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (x, y) in enumerate(points):  # so ids ascend within a cell
+        key = x // width * stride + y // width
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [(x, y, i)]
+        else:
+            cell.append((x, y, i))
+    limit = width * width
+    offsets = (1, stride - 1, stride, stride + 1)
+    for key, members in cells.items():
+        if len(members) > 1:
+            for a, (xi, yi, i) in enumerate(members):
+                for xj, yj, j in members[a + 1:]:
+                    d = (xi - xj) ** 2 + (yi - yj) ** 2
+                    if d <= limit:
+                        yield d, i, j
+        for offset in offsets:
+            other = cells.get(key + offset)
+            if other is None:
+                continue
+            for xi, yi, i in members:
+                for xj, yj, j in other:
+                    d = (xi - xj) ** 2 + (yi - yj) ** 2
+                    if d <= limit:
+                        yield (d, i, j) if i < j else (d, j, i)
 
 
 class Segment(NamedTuple):

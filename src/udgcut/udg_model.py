@@ -7,7 +7,9 @@ one unit wide yields every pair within one unit once, checks it against the
 edge set as it goes, and records the least squared distance among those
 pairs (the fixed-radius near-neighbour grid of Bentley, Stanat and Williams,
 1977).  A point set with no pair within one unit is scanned again with the
-radius and the cell width doubled, until a pair turns up.
+radius and the cell width doubled, until a pair turns up.  Coincident points
+are looked for first, in linear time, and end the scan before any pair is
+listed.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (DegenerateOverlapError, InputError, TheoremViolationError,
                      UndefinedPrecisionError)
 from .geometry import (HALF_DIST2_UNITS, ONE_DIST2_UNITS, SCALE, Point, Segment,
-                       dist2, dist2_units, segments_properly_cross)
+                       dist2, dist2_units, pairs_within, segments_properly_cross)
 from .graph_core import Edge, Graph
 
 PLANAR_BY_THEOREM = "planar_by_theorem"
@@ -33,8 +34,8 @@ NOT_PLANAR_DRAWING = "not_planar_drawing"
 class _Scan(NamedTuple):
     """What validate_model and precision2 need to know of a model."""
 
-    missing: list[Edge]  # close pairs that are not edges, sorted
-    spurious: list[Edge]  # edges that are not close pairs, sorted
+    missing: list[Edge]  # close pairs that are not edges, sorted; [] if coincident
+    spurious: list[Edge]  # edges that are not close pairs, sorted; [] if coincident
     coincident: Edge | None  # the smallest pair of equal points
     closest: int | None  # least dist2_units over all pairs; None below 2 points
 
@@ -56,16 +57,16 @@ class ProximityModel:
         """The one scan of the points that validate_model and precision2
         read; kept, since neither the points nor the graph can change."""
         pts = self.points
+        coincident = _first_coincident_pair(pts)
+        if coincident is not None:  # n equal points would make n^2/2 close pairs
+            return _Scan([], [], coincident, 0)
         edges = self.graph.edges
         missing = []
         matched = 0
-        coincident = None
         best = ONE_DIST2_UNITS + 1
-        for d, i, j in _pairs_within(pts, SCALE):
+        for d, i, j in pairs_within(pts, SCALE):
             if d < best:
                 best = d
-            if not d and (coincident is None or (i, j) < coincident):
-                coincident = (i, j)
             if (i, j) in edges:
                 matched += 1
             else:
@@ -76,51 +77,14 @@ class ProximityModel:
             if dist2_units(pts[u], pts[v]) > ONE_DIST2_UNITS)
         if best > ONE_DIST2_UNITS:
             best = _closest_beyond_one(pts) if len(pts) >= 2 else None
-        return _Scan(sorted(missing), spurious, coincident, best)
+        return _Scan(sorted(missing), spurious, None, best)
 
 
-def _pairs_within(points: tuple[Point, ...], width: int):
-    """(dist2_units, i, j) for every index pair i < j at most width units
-    (1/20 of a mesh unit each) apart, each once.
-
-    Cells are width units wide, so such a pair lies in one cell or in two
-    neighbouring ones.  Each cell is scanned with itself and with the four
-    neighbours after it, (0, 1), (1, -1), (1, 0) and (1, 1).  A cell is
-    keyed by cx * stride + cy, where stride is the number of rows plus two,
-    so no two cells share a key and no offset reaches a cell of another
-    column.
-    """
-    if not points:
-        return
-    row = itemgetter(1)
-    stride = (max(points, key=row).yu // width
-              - min(points, key=row).yu // width + 3)
-    cells: dict[int, list[tuple[int, int, int]]] = {}
-    for i, (x, y) in enumerate(points):  # so ids ascend within a cell
-        key = x // width * stride + y // width
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = [(x, y, i)]
-        else:
-            cell.append((x, y, i))
-    limit = width * width
-    offsets = (1, stride - 1, stride, stride + 1)
-    for key, members in cells.items():
-        if len(members) > 1:
-            for a, (xi, yi, i) in enumerate(members):
-                for xj, yj, j in members[a + 1:]:
-                    d = (xi - xj) ** 2 + (yi - yj) ** 2
-                    if d <= limit:
-                        yield d, i, j
-        for offset in offsets:
-            other = cells.get(key + offset)
-            if other is None:
-                continue
-            for xi, yi, i in members:
-                for xj, yj, j in other:
-                    d = (xi - xj) ** 2 + (yi - yj) ** 2
-                    if d <= limit:
-                        yield (d, i, j) if i < j else (d, j, i)
+def _first_coincident_pair(points: tuple[Point, ...]) -> Edge | None:
+    """The smallest (i, j) with points[i] == points[j], found in O(n)."""
+    first: dict[Point, int] = {}
+    pairs = ((first.setdefault(p, j), j) for j, p in enumerate(points))
+    return min((pair for pair in pairs if pair[0] != pair[1]), default=None)
 
 
 def _closest_beyond_one(points: tuple[Point, ...]) -> int:
@@ -133,7 +97,7 @@ def _closest_beyond_one(points: tuple[Point, ...]) -> int:
     width = SCALE
     while True:
         width *= 2
-        best = min((d for d, _, _ in _pairs_within(points, width)), default=None)
+        best = min((d for d, _, _ in pairs_within(points, width)), default=None)
         if best is not None:
             return best
 

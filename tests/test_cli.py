@@ -320,6 +320,19 @@ def test_deeply_nested_model_json_exits_2(tmp_path, capsys, command):
     _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
 
 
+def test_a_model_of_equal_points_exits_2_before_the_pair_scan(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coincident points reached the pair scan")
+
+    monkeypatch.setattr("udgcut.udg_model.pairs_within", refuse)
+    payload = _two_vertex_model(edges=[], vertices=[
+        {"id": i, "x": 0, "y": 0, "role": "original"} for i in range(3000)])
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    err = _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
+    assert "coincident points for vertices 0 and 1" in err
+
+
 @pytest.mark.parametrize("command", ["reduce", "solve"])
 def test_a_graph_over_the_vertex_ceiling_exits_2(tmp_path, capsys, monkeypatch, command):
     # 13 bytes naming 3e9 vertices: refused while parsing, before any work

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from udgcut.errors import InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
-from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2, dist2_units
+from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2, dist2_units, pairs_within
 from udgcut.graph_core import Graph, graph
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
-                              PLANAR_BY_THEOREM, ProximityModel, _pairs_within,
+                              PLANAR_BY_THEOREM, ProximityModel,
                               conflict_gap2, planarity_verdict, precision2,
                               random_precise_model, straight_line_crossings,
                               validate_model)
@@ -57,6 +57,18 @@ def test_coincident_points_rejected():
         validate_model(m)
 
 
+def test_coincident_points_are_found_before_the_pair_scan(monkeypatch):
+    # 3 000 equal points are 4.5M close pairs; none of them may be listed
+    def refuse(*args, **kwargs):
+        raise AssertionError("coincident points reached the pair scan")
+
+    monkeypatch.setattr("udgcut.udg_model.pairs_within", refuse)
+    m = ProximityModel(graph(3000), (Point(0, 0),) * 3000)
+    with pytest.raises(InputError, match="vertices 0 and 1$"):
+        validate_model(m)
+    assert precision2(m) == 0
+
+
 def test_precision2_examples():
     assert precision2(h_model()) == Fraction(1, 2)
     m = ProximityModel(graph(2), (Point.mesh(0, 0), Point.mesh(10, 0)))
@@ -92,7 +104,7 @@ def test_precision2_is_the_closest_pair():
         # radii of 14, 20 and 40 units bound 196, 400 and 1 600 units^2:
         # just under 1/2, exactly 1 and 4 squared mesh units
         for width in (14, 20, 40):
-            found = list(_pairs_within(pts, width))
+            found = list(pairs_within(pts, width))
             assert len(found) == len(set(found))
             assert set(found) == _close_pairs_by_all_pairs(pts, width * width)
 
@@ -152,7 +164,7 @@ def test_scan_matches_all_pairs(m):
         closest = min(d for d, _, _ in _close_pairs_by_all_pairs(m.points, 10 ** 9))
         assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
     for width in (14, 20):
-        found = list(_pairs_within(m.points, width))
+        found = list(pairs_within(m.points, width))
         assert len(found) == len(set(found))
         assert set(found) == _close_pairs_by_all_pairs(m.points, width * width)
 
@@ -160,7 +172,7 @@ def test_scan_matches_all_pairs(m):
 @settings(max_examples=200, deadline=None)
 @given(_sparse_point_sets())
 def test_precision2_widens_the_scan_when_no_pair_is_within_one_unit(m):
-    assert list(_pairs_within(m.points, 20)) == []
+    assert list(pairs_within(m.points, 20)) == []
     closest = min(dist2_units(p, q) for i, p in enumerate(m.points)
                   for q in m.points[i + 1:])
     assert precision2(m) == Fraction(closest, ONE_DIST2_UNITS)
