@@ -7,9 +7,9 @@ one unit wide yields every pair within one unit once, checks it against the
 edge set as it goes, and records the least squared distance among those
 pairs (the fixed-radius near-neighbour grid of Bentley, Stanat and Williams,
 1977).  A point set with no pair within one unit is scanned again with the
-radius and the cell width doubled, until a pair turns up.  Coincident points
-are looked for first, in linear time, and end the scan before any pair is
-listed.
+radius and the cell width doubled, until a pair turns up.  The first pair of
+equal points met ends the scan, and one linear pass then names the smallest
+such pair.
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ class ProximityModel:
         """The one scan of the points that validate_model and precision2
         read; kept, since neither the points nor the graph can change."""
         pts = self.points
-        coincident = _first_coincident_pair(pts)
-        if coincident is not None:  # n equal points would make n^2/2 close pairs
-            return _Scan([], [], coincident, 0)
         edges = self.graph.edges
         missing = []
         matched = 0
         best = ONE_DIST2_UNITS + 1
         for d, i, j in pairs_within(pts, SCALE):
+            if not d:  # stop: n equal points would make n^2/2 close pairs
+                return _Scan([], [], _first_coincident_pair(pts), 0)
             if d < best:
                 best = d
             if (i, j) in edges:

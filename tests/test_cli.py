@@ -7,6 +7,7 @@ import pytest
 
 from udgcut.cli import main, model_svg
 from udgcut.gadget import h_model
+from udgcut.geometry import pairs_within
 from udgcut.graph_core import complete_graph, format_graph_text, graph, path_graph
 from udgcut.reduction import to_json
 
@@ -320,11 +321,13 @@ def test_deeply_nested_model_json_exits_2(tmp_path, capsys, command):
     _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
 
 
-def test_a_model_of_equal_points_exits_2_before_the_pair_scan(tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("coincident points reached the pair scan")
+def test_a_model_of_equal_points_exits_2_at_the_first_pair(tmp_path, capsys, monkeypatch):
+    def one_pair_at_most(points, width):
+        for k, pair in enumerate(pairs_within(points, width)):
+            assert k == 0, "the scan went on past a pair of equal points"
+            yield pair
 
-    monkeypatch.setattr("udgcut.udg_model.pairs_within", refuse)
+    monkeypatch.setattr("udgcut.udg_model.pairs_within", one_pair_at_most)
     payload = _two_vertex_model(edges=[], vertices=[
         {"id": i, "x": 0, "y": 0, "role": "original"} for i in range(3000)])
     src = tmp_path / "m.json"

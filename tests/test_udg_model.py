@@ -57,12 +57,15 @@ def test_coincident_points_rejected():
         validate_model(m)
 
 
-def test_coincident_points_are_found_before_the_pair_scan(monkeypatch):
-    # 3 000 equal points are 4.5M close pairs; none of them may be listed
-    def refuse(*args, **kwargs):
-        raise AssertionError("coincident points reached the pair scan")
+def _one_pair_at_most(points, width):
+    for k, pair in enumerate(pairs_within(points, width)):
+        assert k == 0, "the scan went on past a pair of equal points"
+        yield pair
 
-    monkeypatch.setattr("udgcut.udg_model.pairs_within", refuse)
+
+def test_the_first_equal_pair_ends_the_scan(monkeypatch):
+    # 3 000 equal points are 4.5M close pairs; only the first may be drawn
+    monkeypatch.setattr("udgcut.udg_model.pairs_within", _one_pair_at_most)
     m = ProximityModel(graph(3000), (Point(0, 0),) * 3000)
     with pytest.raises(InputError, match="vertices 0 and 1$"):
         validate_model(m)
