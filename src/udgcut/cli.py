@@ -46,8 +46,11 @@ def _write_output(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def model_svg(model: ProximityModel, roles: dict[int, str] | None = None) -> str:

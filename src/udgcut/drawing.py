@@ -7,6 +7,10 @@ D: row b-1 / col a+2 for a vertex at (a, b)); each corridor also owns one of
 the four unit approach ports of its vertex (A up, B left, C down, D right),
 which keeps routes of distinct edges from sharing line segments.
 
+Validation and the crossing list index the segments by axis line and sweep
+the index (Bentley and Ottmann's orthogonal sweep for perpendicular pairs),
+so they take O((S + K) log S) for S segments and K meetings, not S^2.
+
 Standardization re-spaces the occupied mesh lines of each axis so that
 distinct parallel lines end up at distance >= 10: a composition of
 half-plane shifts (constant 10) that leaves the abstract graph intact
@@ -15,6 +19,7 @@ and separates vertices, crossing points and carrier lines all at once.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -166,64 +171,89 @@ def _route(pu: Point, pv: Point, s_letter: str, t_letter: str) -> Route:
 
 # -- validation ----------------------------------------------------------------
 
-
-def _closed_axis_intersection(p1: Point, q1: Point, p2: Point, q2: Point):
-    """Intersection of two closed axis-aligned segments.
-
-    Returns None, ("point", Point) or ("overlap",).
-    """
-    h1, h2 = _is_horizontal(p1, q1), _is_horizontal(p2, q2)
-    if h1 and h2:
-        if p1.yu != p2.yu:
-            return None
-        lo = max(min(p1.xu, q1.xu), min(p2.xu, q2.xu))
-        hi = min(max(p1.xu, q1.xu), max(p2.xu, q2.xu))
-        if lo > hi:
-            return None
-        if lo == hi:
-            return ("point", Point(lo, p1.yu))
-        return ("overlap",)
-    if not h1 and not h2:
-        if p1.xu != p2.xu:
-            return None
-        lo = max(min(p1.yu, q1.yu), min(p2.yu, q2.yu))
-        hi = min(max(p1.yu, q1.yu), max(p2.yu, q2.yu))
-        if lo > hi:
-            return None
-        if lo == hi:
-            return ("point", Point(p1.xu, lo))
-        return ("overlap",)
-    if h1:
-        (hp, hq), (vp, vq) = (p1, q1), (p2, q2)
-    else:
-        (hp, hq), (vp, vq) = (p2, q2), (p1, q1)
-    x = vp.xu
-    y = hp.yu
-    if min(hp.xu, hq.xu) <= x <= max(hp.xu, hq.xu) and \
-            min(vp.yu, vq.yu) <= y <= max(vp.yu, vq.yu):
-        return ("point", Point(x, y))
-    return None
+_OVERLAP, _PROPER, _TOUCH = "overlap", "proper", "touch"
 
 
-def _point_on_segment(pt: Point, a: Point, b: Point) -> bool:
-    if a.yu == b.yu:
-        return pt.yu == a.yu and min(a.xu, b.xu) <= pt.xu <= max(a.xu, b.xu)
-    return pt.xu == a.xu and min(a.yu, b.yu) <= pt.yu <= max(a.yu, b.yu)
+def _axis_lines(routes: list[Route]) -> dict[tuple[int, int], list]:
+    """Segments by axis line: (0, y) is row y, for segments with equal y at
+    both ends (zero-length too), (1, x) the column of the others' first end;
+    entries are (lo, hi, (route, segment)), [lo, hi] the span on the line."""
+    lines: dict[tuple[int, int], list] = {}
+    for r, route in enumerate(routes):
+        for i, (p, q) in enumerate(_segments(route)):
+            v = 0 if _is_horizontal(p, q) else 1
+            lines.setdefault((v, p[1 - v]), []).append((min(p[v], q[v]), max(p[v], q[v]), (r, i)))
+    return lines
 
 
-def _strictly_interior(pt: Point, a: Point, b: Point) -> bool:
-    if a.yu == b.yu:
-        return pt.yu == a.yu and min(a.xu, b.xu) < pt.xu < max(a.xu, b.xu)
-    return pt.xu == a.xu and min(a.yu, b.yu) < pt.yu < max(a.yu, b.yu)
+def _on_line(segs: list, points=()):
+    """Sweep one axis line: (lo, hi, is_point, tag, seg_tag) once for each
+    pair of segments that meet and each point on a segment, [lo, hi] their
+    common part.  Every pair looked at is yielded: an item meets exactly
+    the segments still open where it starts."""
+    items = sorted([(lo, False, hi, tag) for lo, hi, tag in segs]
+                   + [(pos, True, pos, tag) for pos, tag in points])
+    open_, ends = {}, []  # open segment tag -> hi; heap of (hi, tag)
+    for lo, is_point, hi, tag in items:
+        while ends and ends[0][0] < lo:
+            del open_[heapq.heappop(ends)[1]]
+        for other, other_hi in open_.items():
+            yield lo, min(hi, other_hi), is_point, tag, other
+        if not is_point:
+            open_[tag] = hi
+            heapq.heappush(ends, (hi, tag))
+
+
+def _meetings(lines: dict) -> list[tuple]:
+    """Each meeting of two indexed segments once, as (a, b, point, kind), a < b
+    their (route, segment) tags, sorted as a loop over route pairs meets them:
+    by a's route, b's route, a's segment, b's segment.  kind is _PROPER
+    (interior to both), _TOUCH, or _OVERLAP (collinear in more than a point;
+    point None).  Collinear meetings come from _on_line; for the others,
+    horizontal segments open and close as x grows (Bentley and Ottmann,
+    1979) and each vertical one takes the open rows in its y-range."""
+    found, events = [], []
+    for (v, c), segs in lines.items():
+        for lo, hi, _, a, b in _on_line(segs):
+            pt, kind = (None, _OVERLAP) if lo < hi else (Point(c, lo) if v else Point(lo, c), _TOUCH)
+            found.append((min(a, b), max(a, b), pt, kind))
+        for lo, hi, tag in segs:
+            events += ([(c, 1, (lo, hi, tag))] if v else
+                       [(lo, 0, (c, lo, hi, tag)), (hi, 2, (c, lo, hi, tag))])
+    events.sort()  # at equal x: open, then query, then close
+    open_rows: list = []  # (y, lo, hi, tag) of the open horizontal segments
+    for x, step, seg in events:
+        if step == 0:
+            bisect.insort(open_rows, seg)
+        elif step == 2:
+            del open_rows[bisect.bisect_left(open_rows, seg)]
+        else:
+            lo, hi, tag = seg
+            for y, h_lo, h_hi, h_tag in open_rows[bisect.bisect_left(open_rows, (lo,)):
+                                                  bisect.bisect_left(open_rows, (hi + 1,))]:
+                kind = _PROPER if h_lo < x < h_hi and lo < y < hi else _TOUCH
+                found.append((min(h_tag, tag), max(h_tag, tag), Point(x, y), kind))
+    found.sort(key=lambda m: (m[0][0], m[1][0], m[0][1], m[1][1]))
+    return found
+
+
+def _stab(lines: dict, points: list[Point]):
+    """Yields (k, (route, segment)) for each indexed segment through points[k]."""
+    queries: dict[tuple[int, int], list] = {}
+    for k, p in enumerate(points):
+        for v in (0, 1):
+            queries.setdefault((v, p[1 - v]), []).append((p[v], k))
+    for key, pts in queries.items():
+        for _, _, is_point, k, tag in _on_line(lines.get(key, []), pts):
+            if is_point:
+                yield k, tag
 
 
 def validate_drawing(d: MeshDrawing) -> list[str]:
     """All mesh-drawing invariants; returns a list of problems, [] if valid."""
+    if set(d.placement) != set(range(d.graph.n)):
+        return ["placement does not cover the vertex set"]
     problems: list[str] = []
-    g = d.graph
-    if set(d.placement) != set(range(g.n)):
-        problems.append("placement does not cover the vertex set")
-        return problems
     seen_points: dict[Point, int] = {}
     for v, p in d.placement.items():
         if not p.is_mesh_cross():
@@ -231,9 +261,35 @@ def validate_drawing(d: MeshDrawing) -> list[str]:
         if p in seen_points:
             problems.append(f"vertices {seen_points[p]} and {v} coincide at {p}")
         seen_points[p] = v
-    if set(d.routes) != set(g.edges):
-        problems.append("routes do not cover the edge set exactly")
-        return problems
+    if set(d.routes) != set(d.graph.edges):
+        return problems + ["routes do not cover the edge set exactly"]
+    edges = sorted(d.routes)
+    lines = _axis_lines([d.routes[e] for e in edges])
+    vertices = list(d.placement.items())
+    # each route's vertex and self-intersection problems, reported after its
+    # segment checks; those between routes come after every route's
+    own: dict[Edge, list[str]] = {e: [] for e in edges}
+    between: list[str] = []
+    # no pass through a vertex but the terminal contacts
+    for r, k, i in sorted((r, k, i) for k, (r, i) in _stab(lines, [p for _, p in vertices])):
+        (u, v), (w, pw), route = edges[r], vertices[k], d.routes[edges[r]]
+        if not ((w == u and i == 0 and pw == route[0]) or
+                (w == v and i == len(route) - 2 and pw == route[-1])):
+            own[(u, v)].append(f"route {(u, v)} passes through vertex {w} at {pw}")
+    crossing_points: dict[Point, set[Edge]] = {}
+    for (r1, i), (r2, j), pt, kind in _meetings(lines):
+        e1, e2 = edges[r1], edges[r2]
+        if r1 == r2:  # non-adjacent segments disjoint, adjacent share a corner
+            if j > i + 1:
+                own[e1].append(f"route {e1} self-intersects")
+            elif pt != d.routes[e1][j]:
+                own[e1].append(f"route {e1} folds onto itself")
+        elif kind == _OVERLAP:
+            between.append(f"routes {e1} and {e2} overlap collinearly")
+        elif kind == _PROPER:
+            crossing_points.setdefault(pt, set()).update({e1, e2})
+        elif pt not in {d.placement[w] for w in set(e1) & set(e2)}:
+            between.append(f"routes {e1} and {e2} touch non-transversally at {pt}")
     for (u, v), route in d.routes.items():
         if len(route) < 2:
             problems.append(f"route {(u, v)} has fewer than 2 points")
@@ -247,85 +303,34 @@ def validate_drawing(d: MeshDrawing) -> list[str]:
                 problems.append(f"non-axis-aligned segment on route {(u, v)}")
             if not p.is_mesh_cross() or not q.is_mesh_cross():
                 problems.append(f"route corner off the mesh on {(u, v)}")
-        # no pass through any vertex placement except the terminal contacts
-        segs = _segments(route)
-        for w, pw in d.placement.items():
-            for i, (p, q) in enumerate(segs):
-                if not _point_on_segment(pw, p, q):
-                    continue
-                ok = (w == u and i == 0 and pw == p) or \
-                     (w == v and i == len(segs) - 1 and pw == q)
-                if not ok:
-                    problems.append(
-                        f"route {(u, v)} passes through vertex {w} at {pw}")
-        # self-intersection: non-adjacent segments disjoint, adjacent share corner
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                inter = _closed_axis_intersection(*segs[i], *segs[j])
-                if inter is None:
-                    continue
-                if j == i + 1:
-                    if inter[0] != "point" or inter[1] != segs[i][1]:
-                        problems.append(f"route {(u, v)} folds onto itself")
-                else:
-                    problems.append(f"route {(u, v)} self-intersects")
-    # pairwise route interaction
-    edges = sorted(d.routes)
-    crossing_points: dict[Point, set[Edge]] = {}
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e1, e2 = edges[i], edges[j]
-            shared = set(e1) & set(e2)
-            shared_pts = {d.placement[w] for w in shared}
-            for s1 in _segments(d.routes[e1]):
-                for s2 in _segments(d.routes[e2]):
-                    inter = _closed_axis_intersection(*s1, *s2)
-                    if inter is None:
-                        continue
-                    if inter[0] == "overlap":
-                        problems.append(f"routes {e1} and {e2} overlap collinearly")
-                        continue
-                    pt = inter[1]
-                    if _strictly_interior(pt, *s1) and _strictly_interior(pt, *s2):
-                        crossing_points.setdefault(pt, set()).update({e1, e2})
-                    elif pt not in shared_pts:
-                        problems.append(
-                            f"routes {e1} and {e2} touch non-transversally at {pt}")
-    for pt, involved in crossing_points.items():
+        problems += own[(u, v)]
+    problems += between
+    through: dict[int, set[Edge]] = {}  # the routes through each crossing point
+    for k, (r, _) in _stab(lines, list(crossing_points)):
+        through.setdefault(k, set()).add(edges[r])
+    for k, (pt, involved) in enumerate(crossing_points.items()):
         if len(involved) > 2:
             problems.append(f"three routes meet at {pt}")
         if not pt.is_mesh_cross():
             problems.append(f"crossing off the mesh at {pt}")
-        for e3 in edges:
-            if e3 in involved:
-                continue
-            if any(_point_on_segment(pt, p, q) for p, q in _segments(d.routes[e3])):
-                problems.append(f"crossing at {pt} lies on a third route {e3}")
+        for e3 in sorted(through[k] - involved):
+            problems.append(f"crossing at {pt} lies on a third route {e3}")
     return problems
 
 
 def crossings(d: MeshDrawing) -> CrossingReport:
     """Exhaustive list of proper crossings with horizontal/vertical roles."""
     edges = sorted(d.routes)
+    routes = [d.routes[e] for e in edges]
     found: dict[Point, Crossing] = {}
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e1, e2 = edges[i], edges[j]
-            for p1, q1 in _segments(d.routes[e1]):
-                for p2, q2 in _segments(d.routes[e2]):
-                    inter = _closed_axis_intersection(p1, q1, p2, q2)
-                    if inter is None:
-                        continue
-                    if inter[0] == "overlap":
-                        raise DegenerateOverlapError(
-                            f"routes {e1} and {e2} overlap collinearly")
-                    pt = inter[1]
-                    if _strictly_interior(pt, p1, q1) and _strictly_interior(pt, p2, q2):
-                        if _is_horizontal(p1, q1):
-                            cr = Crossing(pt, e1, e2)
-                        else:
-                            cr = Crossing(pt, e2, e1)
-                        found[pt] = cr
+    for (r1, i1), (r2, _), pt, kind in _meetings(_axis_lines(routes)):
+        e1, e2 = edges[r1], edges[r2]
+        if r1 == r2 or kind == _TOUCH:
+            continue
+        if kind == _OVERLAP:
+            raise DegenerateOverlapError(f"routes {e1} and {e2} overlap collinearly")
+        h_first = _is_horizontal(*routes[r1][i1:i1 + 2])
+        found[pt] = Crossing(pt, e1, e2) if h_first else Crossing(pt, e2, e1)
     items = sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
     return CrossingReport(items)
 
@@ -420,15 +425,9 @@ def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport
         close["crossing_pairs"] is None, close["vertex_pairs"] is None,
         close["vertex_crossing"] is None, True,
         {name: pair for name, pair in close.items() if pair is not None})
-    carrier_rows = set()
-    carrier_cols = set()
-    for route in d.routes.values():
-        for p, q in _segments(route):
-            if _is_horizontal(p, q):
-                carrier_rows.add(p.yu)
-            else:
-                carrier_cols.add(p.xu)
-    for lines, name in ((sorted(carrier_rows), "rows"), (sorted(carrier_cols), "cols")):
+    carriers = _axis_lines(list(d.routes.values()))
+    for v, name in ((0, "rows"), (1, "cols")):
+        lines = sorted(c for w, c in carriers if w == v)
         for a, b in zip(lines, lines[1:]):
             if b - a < _TEN:
                 report.parallel_lines_ok = False

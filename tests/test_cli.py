@@ -348,3 +348,18 @@ def test_a_graph_over_the_vertex_ceiling_exits_2(tmp_path, capsys, monkeypatch, 
     src.write_text("3000000000 0")
     err = _exits_2_with_one_error_line(capsys, [command, "--in", str(src)])
     assert "3000000000 vertices exceed the limit" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("reduce", ["--out", "{missing}"]),
+    ("reduce", ["--out", "{tmp}/k2.json", "--svg", "{missing}"]),
+    ("render", ["--out", "{missing}"]),
+])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, command, flags):
+    src = tmp_path / "in.txt"
+    src.write_text("2 1\n0 1\n" if command == "reduce" else to_json(h_model()))
+    missing = tmp_path / "missing" / "out"
+    argv = [command, "--in", str(src)] + [
+        f.format(missing=missing, tmp=tmp_path) for f in flags]
+    err = _exits_2_with_one_error_line(capsys, argv)
+    assert f"cannot write {missing}: " in err

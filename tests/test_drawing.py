@@ -2,18 +2,20 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgcut.drawing import (CrossingReport, MeshDrawing, StandardReport,
-                            _placement_order, corridor_lines, crossings,
-                            drawing_debug_json, mesh_draw, standardize,
+import udgcut.drawing
+from udgcut.drawing import (Crossing, CrossingReport, MeshDrawing, StandardReport,
+                            _axis_lines, _meetings, _placement_order, corridor_lines,
+                            crossings, drawing_debug_json, mesh_draw, standardize,
                             validate_drawing, validate_standard)
-from udgcut.errors import InputError
+from udgcut.errors import DegenerateOverlapError, InputError
 from udgcut.geometry import SCALE, Point, dist2_units
-from udgcut.graph_core import (adjacency, complete_graph, cycle_graph,
+from udgcut.graph_core import (Edge, adjacency, complete_graph, cycle_graph,
                                disjoint_union, graph, max_degree, path_graph,
                                petersen_graph, random_graph)
 
@@ -238,8 +240,6 @@ def test_validate_standard_matches_the_all_pairs_reference():
 
 
 def test_overlapping_routes_are_rejected():
-    import pytest as _pytest
-    from udgcut.errors import DegenerateOverlapError
     g = graph(4, [(0, 1), (2, 3)])
     placement = {0: Point.mesh(0, 0), 1: Point.mesh(10, 0),
                  2: Point.mesh(4, 0), 3: Point.mesh(14, 0)}
@@ -247,8 +247,9 @@ def test_overlapping_routes_are_rejected():
               (2, 3): (placement[2], placement[3])}
     d = MeshDrawing(g, placement, routes)
     assert any("overlap" in p for p in validate_drawing(d))
-    with _pytest.raises(DegenerateOverlapError):
+    with pytest.raises(DegenerateOverlapError):
         crossings(d)
+    _assert_matches_the_pair_loops(d)
 
 
 def test_debug_json_round_trips_mesh_coordinates():
@@ -312,3 +313,330 @@ def test_placement_order_matches_the_full_scan_on_named_graphs():
              disjoint_union(graph(2), path_graph(6))]
     for g in named:
         assert _placement_order(g) == _placement_order_by_full_scan(g)
+
+
+# -- the pair loops that validate_drawing and crossings used before the sweep,
+# kept verbatim (renamed) as the reference for their problems and reports --
+
+
+def _segments(route):
+    return [(route[i], route[i + 1]) for i in range(len(route) - 1)]
+
+
+def _is_horizontal(a: Point, b: Point) -> bool:
+    return a.yu == b.yu
+
+
+def _closed_axis_intersection(p1: Point, q1: Point, p2: Point, q2: Point):
+    """Intersection of two closed axis-aligned segments.
+
+    Returns None, ("point", Point) or ("overlap",).
+    """
+    h1, h2 = _is_horizontal(p1, q1), _is_horizontal(p2, q2)
+    if h1 and h2:
+        if p1.yu != p2.yu:
+            return None
+        lo = max(min(p1.xu, q1.xu), min(p2.xu, q2.xu))
+        hi = min(max(p1.xu, q1.xu), max(p2.xu, q2.xu))
+        if lo > hi:
+            return None
+        if lo == hi:
+            return ("point", Point(lo, p1.yu))
+        return ("overlap",)
+    if not h1 and not h2:
+        if p1.xu != p2.xu:
+            return None
+        lo = max(min(p1.yu, q1.yu), min(p2.yu, q2.yu))
+        hi = min(max(p1.yu, q1.yu), max(p2.yu, q2.yu))
+        if lo > hi:
+            return None
+        if lo == hi:
+            return ("point", Point(p1.xu, lo))
+        return ("overlap",)
+    if h1:
+        (hp, hq), (vp, vq) = (p1, q1), (p2, q2)
+    else:
+        (hp, hq), (vp, vq) = (p2, q2), (p1, q1)
+    x = vp.xu
+    y = hp.yu
+    if min(hp.xu, hq.xu) <= x <= max(hp.xu, hq.xu) and \
+            min(vp.yu, vq.yu) <= y <= max(vp.yu, vq.yu):
+        return ("point", Point(x, y))
+    return None
+
+
+def _point_on_segment(pt: Point, a: Point, b: Point) -> bool:
+    if a.yu == b.yu:
+        return pt.yu == a.yu and min(a.xu, b.xu) <= pt.xu <= max(a.xu, b.xu)
+    return pt.xu == a.xu and min(a.yu, b.yu) <= pt.yu <= max(a.yu, b.yu)
+
+
+def _strictly_interior(pt: Point, a: Point, b: Point) -> bool:
+    if a.yu == b.yu:
+        return pt.yu == a.yu and min(a.xu, b.xu) < pt.xu < max(a.xu, b.xu)
+    return pt.xu == a.xu and min(a.yu, b.yu) < pt.yu < max(a.yu, b.yu)
+
+
+def _validate_drawing_by_pairs(d: MeshDrawing) -> list[str]:
+    """All mesh-drawing invariants; returns a list of problems, [] if valid."""
+    problems: list[str] = []
+    g = d.graph
+    if set(d.placement) != set(range(g.n)):
+        problems.append("placement does not cover the vertex set")
+        return problems
+    seen_points: dict[Point, int] = {}
+    for v, p in d.placement.items():
+        if not p.is_mesh_cross():
+            problems.append(f"vertex {v} not on a mesh cross: {p}")
+        if p in seen_points:
+            problems.append(f"vertices {seen_points[p]} and {v} coincide at {p}")
+        seen_points[p] = v
+    if set(d.routes) != set(g.edges):
+        problems.append("routes do not cover the edge set exactly")
+        return problems
+    for (u, v), route in d.routes.items():
+        if len(route) < 2:
+            problems.append(f"route {(u, v)} has fewer than 2 points")
+            continue
+        if route[0] != d.placement[u] or route[-1] != d.placement[v]:
+            problems.append(f"route {(u, v)} does not join its endpoints")
+        for p, q in _segments(route):
+            if p == q:
+                problems.append(f"zero-length segment on route {(u, v)}")
+            elif p.xu != q.xu and p.yu != q.yu:
+                problems.append(f"non-axis-aligned segment on route {(u, v)}")
+            if not p.is_mesh_cross() or not q.is_mesh_cross():
+                problems.append(f"route corner off the mesh on {(u, v)}")
+        # no pass through any vertex placement except the terminal contacts
+        segs = _segments(route)
+        for w, pw in d.placement.items():
+            for i, (p, q) in enumerate(segs):
+                if not _point_on_segment(pw, p, q):
+                    continue
+                ok = (w == u and i == 0 and pw == p) or \
+                     (w == v and i == len(segs) - 1 and pw == q)
+                if not ok:
+                    problems.append(
+                        f"route {(u, v)} passes through vertex {w} at {pw}")
+        # self-intersection: non-adjacent segments disjoint, adjacent share corner
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                inter = _closed_axis_intersection(*segs[i], *segs[j])
+                if inter is None:
+                    continue
+                if j == i + 1:
+                    if inter[0] != "point" or inter[1] != segs[i][1]:
+                        problems.append(f"route {(u, v)} folds onto itself")
+                else:
+                    problems.append(f"route {(u, v)} self-intersects")
+    # pairwise route interaction
+    edges = sorted(d.routes)
+    crossing_points: dict[Point, set[Edge]] = {}
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e1, e2 = edges[i], edges[j]
+            shared = set(e1) & set(e2)
+            shared_pts = {d.placement[w] for w in shared}
+            for s1 in _segments(d.routes[e1]):
+                for s2 in _segments(d.routes[e2]):
+                    inter = _closed_axis_intersection(*s1, *s2)
+                    if inter is None:
+                        continue
+                    if inter[0] == "overlap":
+                        problems.append(f"routes {e1} and {e2} overlap collinearly")
+                        continue
+                    pt = inter[1]
+                    if _strictly_interior(pt, *s1) and _strictly_interior(pt, *s2):
+                        crossing_points.setdefault(pt, set()).update({e1, e2})
+                    elif pt not in shared_pts:
+                        problems.append(
+                            f"routes {e1} and {e2} touch non-transversally at {pt}")
+    for pt, involved in crossing_points.items():
+        if len(involved) > 2:
+            problems.append(f"three routes meet at {pt}")
+        if not pt.is_mesh_cross():
+            problems.append(f"crossing off the mesh at {pt}")
+        for e3 in edges:
+            if e3 in involved:
+                continue
+            if any(_point_on_segment(pt, p, q) for p, q in _segments(d.routes[e3])):
+                problems.append(f"crossing at {pt} lies on a third route {e3}")
+    return problems
+
+
+def _crossings_by_pairs(d: MeshDrawing) -> CrossingReport:
+    """Exhaustive list of proper crossings with horizontal/vertical roles."""
+    edges = sorted(d.routes)
+    found: dict[Point, Crossing] = {}
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e1, e2 = edges[i], edges[j]
+            for p1, q1 in _segments(d.routes[e1]):
+                for p2, q2 in _segments(d.routes[e2]):
+                    inter = _closed_axis_intersection(p1, q1, p2, q2)
+                    if inter is None:
+                        continue
+                    if inter[0] == "overlap":
+                        raise DegenerateOverlapError(
+                            f"routes {e1} and {e2} overlap collinearly")
+                    pt = inter[1]
+                    if _strictly_interior(pt, p1, q1) and _strictly_interior(pt, p2, q2):
+                        if _is_horizontal(p1, q1):
+                            cr = Crossing(pt, e1, e2)
+                        else:
+                            cr = Crossing(pt, e2, e1)
+                        found[pt] = cr
+    items = sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
+    return CrossingReport(items)
+
+
+def _report_or_error(crossings_fn, d: MeshDrawing):
+    try:
+        return crossings_fn(d).items
+    except DegenerateOverlapError as exc:
+        return str(exc)
+
+
+def _assert_matches_the_pair_loops(d: MeshDrawing):
+    assert validate_drawing(d) == _validate_drawing_by_pairs(d)
+    assert _report_or_error(crossings, d) == _report_or_error(_crossings_by_pairs, d)
+
+
+def test_the_sweep_matches_the_pair_loops_on_drawn_graphs():
+    rng = random.Random(101)
+    graphs = [complete_graph(4), complete_graph(5), cycle_graph(5), petersen_graph()]
+    graphs += [cycle_graph(n) for n in range(3, 61)]
+    graphs += [random_graph(rng, rng.randint(1, 24), p=rng.uniform(0.2, 0.9), max_deg=4)
+               for _ in range(50)]
+    for g in graphs:
+        for d in (mesh_draw(g), standardize(mesh_draw(g))):
+            _assert_matches_the_pair_loops(d)
+
+
+def _drawing(n: int, placement: dict, routes: dict) -> MeshDrawing:
+    """A drawing of the graph on n vertices with the routes' edges, from
+    placements and route corners in mesh units; a Point is taken as it is,
+    so it may lie off the mesh."""
+    def at(p):
+        return p if isinstance(p, Point) else Point.mesh(*p)
+
+    return MeshDrawing(graph(n, list(routes)), {v: at(p) for v, p in placement.items()},
+                       {e: tuple(at(p) for p in route) for e, route in routes.items()})
+
+
+_PLUS = {0: (-10, 0), 1: (10, 0), 2: (0, -10), 3: (0, 10), 4: (5, -5), 5: (5, 5)}
+_BAD_DRAWINGS = {
+    "passes through vertex": (
+        {0: (0, 0), 1: (10, 0), 2: (5, 0)}, {(0, 1): [(0, 0), (10, 0)]},
+        ["route (0, 1) passes through vertex 2 at Point(xu=100, yu=0)"]),
+    "self-intersects": (
+        {0: (0, 0), 1: (5, -10)}, {(0, 1): [(0, 0), (10, 0), (10, 5), (5, 5), (5, -10)]},
+        ["route (0, 1) self-intersects"]),
+    # a fold turns back along the route, so the next turn meets an earlier segment
+    "folds onto itself": (
+        {0: (0, 0), 1: (5, 5)}, {(0, 1): [(0, 0), (0, 10), (0, 5), (5, 5)]},
+        ["route (0, 1) folds onto itself", "route (0, 1) self-intersects"]),
+    # a corner of (2, 3) rests on (0, 1): once for each of its two segments
+    "touch non-transversally": (
+        {0: (0, 0), 1: (10, 0), 2: (5, 10), 3: (15, -5)},
+        {(0, 1): [(0, 0), (10, 0)], (2, 3): [(5, 10), (5, 0), (5, -5), (15, -5)]},
+        ["routes (0, 1) and (2, 3) touch non-transversally at Point(xu=100, yu=0)"] * 2),
+    # a third route crossing at the same point runs along one of the two
+    "three routes meet": (
+        _PLUS, {(0, 1): [(-10, 0), (10, 0)], (2, 3): [(0, -10), (0, 10)],
+                (4, 5): [(5, -5), (0, -5), (0, 5), (5, 5)]},
+        ["routes (2, 3) and (4, 5) touch non-transversally at Point(xu=0, yu=-100)",
+         "routes (2, 3) and (4, 5) overlap collinearly",
+         "routes (2, 3) and (4, 5) touch non-transversally at Point(xu=0, yu=100)",
+         "three routes meet at Point(xu=0, yu=0)"]),
+    "crossing off the mesh": (
+        {0: (-10, 0), 1: (10, 0), 2: Point(10, -200), 3: Point(10, 200)},
+        {(0, 1): [(-10, 0), (10, 0)], (2, 3): [Point(10, -200), Point(10, 200)]},
+        ["vertex 2 not on a mesh cross: Point(xu=10, yu=-200)",
+         "vertex 3 not on a mesh cross: Point(xu=10, yu=200)",
+         "route corner off the mesh on (2, 3)",
+         "crossing off the mesh at Point(xu=10, yu=0)"]),
+    # a route through a crossing point that does not cross there turns on it
+    "crossing on a third route": (
+        _PLUS, {(0, 1): [(-10, 0), (10, 0)], (2, 3): [(0, -10), (0, 10)],
+                (4, 5): [(5, -5), (0, -5), (0, 0), (5, 0), (5, 5)]},
+        ["routes (0, 1) and (4, 5) touch non-transversally at Point(xu=0, yu=0)",
+         "routes (0, 1) and (4, 5) overlap collinearly",
+         "routes (0, 1) and (4, 5) touch non-transversally at Point(xu=100, yu=0)",
+         "routes (2, 3) and (4, 5) touch non-transversally at Point(xu=0, yu=-100)",
+         "routes (2, 3) and (4, 5) overlap collinearly",
+         "routes (2, 3) and (4, 5) touch non-transversally at Point(xu=0, yu=0)",
+         "crossing at Point(xu=0, yu=0) lies on a third route (4, 5)"]),
+    "zero-length segment": (
+        {0: (0, 0), 1: (10, 0)}, {(0, 1): [(0, 0), (0, 0), (10, 0)]},
+        ["zero-length segment on route (0, 1)",
+         "route (0, 1) passes through vertex 0 at Point(xu=0, yu=0)"]),
+    "non-axis-aligned segment": (
+        {0: (0, 0), 1: (10, 10)}, {(0, 1): [(0, 0), (10, 10)]},
+        ["non-axis-aligned segment on route (0, 1)"]),
+    "corner off the mesh": (
+        {0: (0, 0), 1: (10, 10)},
+        {(0, 1): [(0, 0), Point(0, 110), Point(200, 110), (10, 10)]},
+        ["route corner off the mesh on (0, 1)"] * 3),
+    "vertices coincide": (
+        {0: (0, 0), 1: (10, 0), 2: (0, 0)}, {(0, 1): [(0, 0), (10, 0)]},
+        ["vertices 0 and 2 coincide at Point(xu=0, yu=0)",
+         "route (0, 1) passes through vertex 2 at Point(xu=0, yu=0)"]),
+    "fewer than 2 points": (
+        {0: (0, 0), 1: (10, 0)}, {(0, 1): [(0, 0)]},
+        ["route (0, 1) has fewer than 2 points"]),
+    "does not join its endpoints": (
+        {0: (0, 0), 1: (10, 0)}, {(0, 1): [(0, 0), (0, 10)]},
+        ["route (0, 1) does not join its endpoints"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_DRAWINGS))
+def test_each_problem_of_a_bad_drawing_is_reported(name):
+    placement, routes, expected = _BAD_DRAWINGS[name]
+    d = _drawing(len(placement), placement, routes)
+    assert validate_drawing(d) == expected
+    _assert_matches_the_pair_loops(d)
+
+
+@pytest.mark.parametrize("d, expected", [
+    (MeshDrawing(graph(2), {0: Point.mesh(0, 0)}, {}),
+     ["placement does not cover the vertex set"]),
+    (_drawing(2, {0: (0, 0), 1: (0, 0)}, {}),
+     ["vertices 0 and 1 coincide at Point(xu=0, yu=0)"]),
+    (MeshDrawing(graph(2, [(0, 1)]), {0: Point.mesh(0, 0), 1: Point.mesh(1, 0)}, {}),
+     ["routes do not cover the edge set exactly"]),
+])
+def test_a_drawing_that_misses_vertices_or_edges_is_reported(d, expected):
+    assert validate_drawing(d) == expected
+    _assert_matches_the_pair_loops(d)
+
+
+def test_the_sweep_looks_at_near_linearly_many_pairs():
+    """Counts, not clock time.  The sweep looks only at segment pairs that
+    meet, so its candidates are its meetings; and the lines that
+    validate_drawing and crossings run in drawing.py stay within
+    c * (S + K), where the pair loops looked at S^2 / 2 = 1.6 M pairs."""
+    d = standardize(mesh_draw(cycle_graph(300)))
+    s = sum(len(route) - 1 for route in d.routes.values())
+    k = len(crossings(d))
+    assert (s, k) == (1798, 896)
+    assert len(_meetings(_axis_lines(list(d.routes.values())))) <= 2 * (s + k)
+    lines_run = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines_run
+        lines_run += event == "line"
+        return count_lines
+
+    def in_drawing(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == udgcut.drawing.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(in_drawing)
+    try:
+        validate_drawing(d)
+        crossings(d)
+    finally:
+        sys.settrace(previous)
+    assert lines_run <= 200 * (s + k)
