@@ -3,7 +3,7 @@ max-cut or max-bisection exactly, render a model as SVG, and run the
 certification suites.
 
 Exit codes: 0 success, 1 validation or certification failure, 2 malformed
-or unsupported input.
+or unsupported input, or an output path that cannot be written.
 """
 
 from __future__ import annotations

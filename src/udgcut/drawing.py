@@ -9,7 +9,8 @@ which keeps routes of distinct edges from sharing line segments.
 
 Validation and the crossing list index the segments by axis line and sweep
 the index (Bentley and Ottmann's orthogonal sweep for perpendicular pairs),
-so they take O((S + K) log S) for S segments and K meetings, not S^2.
+so they make O((S + K) log S) comparisons for S segments and K meetings in
+place of S^2 pair tests.
 
 Standardization re-spaces the occupied mesh lines of each axis so that
 distinct parallel lines end up at distance >= 10: a composition of

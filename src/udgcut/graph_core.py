@@ -18,9 +18,10 @@ Edge = tuple[int, int]
 # The most vertices a graph file may name.  On an edgeless graph, the
 # cheapest input of its size, `reduce` is near-linear: 0.02 s at 1 000
 # vertices, 0.05 s at 2 000 and 0.2 s at 8 000 (Python 3.11, 2 vCPUs).
-# Edges cost far more, since the drawing checks are quadratic in the
-# drawing's segments: cycle_graph(120) takes 1.1 s and cycle_graph(300) 5 s,
-# so graphs with edges reach minutes long before this limit.
+# With edges the time follows the size of U(G), which grows with the
+# drawing's crossings and route lengths: cycle_graph(300) takes about 1.1 s
+# and cycle_graph(1000) 4 s, most of it building U(G) and validate_model;
+# the drawing checks, a sweep, take 0.05 s and 0.2 s of that.
 MAX_VERTICES = 8000
 
 

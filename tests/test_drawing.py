@@ -602,8 +602,6 @@ def test_each_problem_of_a_bad_drawing_is_reported(name):
 @pytest.mark.parametrize("d, expected", [
     (MeshDrawing(graph(2), {0: Point.mesh(0, 0)}, {}),
      ["placement does not cover the vertex set"]),
-    (_drawing(2, {0: (0, 0), 1: (0, 0)}, {}),
-     ["vertices 0 and 1 coincide at Point(xu=0, yu=0)"]),
     (MeshDrawing(graph(2, [(0, 1)]), {0: Point.mesh(0, 0), 1: Point.mesh(1, 0)}, {}),
      ["routes do not cover the edge set exactly"]),
 ])
