@@ -13,8 +13,8 @@ from fractions import Fraction
 from .errors import ConstructionError, PreconditionError, WidthLimitError
 from .gadget import build_H, construct_H_on, h_model
 from .graph_core import (Graph, canon_edge, complete_graph, cycle_graph,
-                         format_graph_text, graph, petersen_graph, random_graph,
-                         subdivide_randomly)
+                         format_graph_text, petersen_graph, random_graph,
+                         subdivide_edge_twice, subdivide_randomly)
 from .reduction import recover_mc, reduce
 from .solvers import max_cut_bruteforce, max_cut_treewidth_dp
 from .udg_model import precision2, random_precise_model, straight_line_crossings, validate_model
@@ -40,7 +40,6 @@ def check_double_subdivision(seed: int, iterations: int = 200) -> CheckResult:
     """Subdividing one edge twice raises the maximum cut by exactly 2."""
     name = "double-subdivision (+2)"
     rng = random.Random(seed)
-    from .graph_core import subdivide_edge_twice
     for i in range(iterations):
         n = rng.randint(2, 9)
         g = random_graph(rng, n, p=rng.uniform(0.2, 0.9))
@@ -98,10 +97,7 @@ def check_gadget_negative_control() -> CheckResult:
         return _fail(name, "precondition violation not rejected", {})
     except PreconditionError:
         pass
-    # build the would-be result by hand: K4 plus the four apexes is exactly H
-    forced = graph(8, list(k4.edges)
-                   + [(4 + i, i) for i in range(4)]
-                   + [(4 + i, (i + 1) % 4) for i in range(4)])
+    forced = build_H()  # the would-be result: K4 plus the four apexes
     mc_forced = max_cut_bruteforce(forced)[0]
     expected_if_identity_held = max_cut_bruteforce(k4)[0] + 8
     if mc_forced == expected_if_identity_held:

@@ -21,7 +21,7 @@ from .reduction import ROLE_ORIGINAL, load_output_json, reduce, to_json
 from .solvers import (DEFAULT_BRUTE_LIMIT, DEFAULT_WIDTH_LIMIT,
                       greedy_tree_decomposition, max_bisection_bruteforce,
                       max_cut_bruteforce, max_cut_treewidth_dp)
-from .udg_model import ProximityModel, validate_model
+from .udg_model import ProximityModel, require_valid_model
 
 ROLE_COLORS = {
     "original": "#000000",
@@ -108,12 +108,7 @@ def _load_graph_or_model(text: str) -> Graph:
     if not text.lstrip().startswith("{"):
         return parse_graph_text(text)
     model = load_output_json(text).model
-    report = validate_model(model)
-    if not report.ok:
-        raise InputError(
-            "model edges disagree with its coordinates: "
-            f"missing={[e[:2] for e in report.missing_edges[:3]]} "
-            f"spurious={[e[:2] for e in report.spurious_edges[:3]]}")
+    require_valid_model(model)
     return model.graph
 
 
@@ -123,11 +118,7 @@ def cmd_solve(args) -> int:
         size, cut = max_bisection_bruteforce(g, limit=args.brute_limit)
         print(f"max-bisection {size}")
         print("side " + "".join(map(str, cut.side)))
-        return 0
-    method = args.method
-    if method == "auto":
-        method = "brute" if g.n <= args.brute_limit else "dp"
-    if method == "brute":
+    elif g.n <= args.brute_limit:
         size, cut = max_cut_bruteforce(g, limit=args.brute_limit)
         print(f"max-cut {size}")
         print("side " + "".join(map(str, cut.side)))
@@ -173,12 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact max-cut / max-bisection")
     p_solve.add_argument("--in", dest="input", help="graph file or model JSON")
-    group = p_solve.add_mutually_exclusive_group()
-    group.add_argument("--cut", action="store_true",
-                       help="maximum cut (the default)")
-    group.add_argument("--bisection", action="store_true",
-                       help="maximum bisection instead of maximum cut")
-    p_solve.add_argument("--method", choices=["brute", "dp", "auto"], default="auto")
+    p_solve.add_argument("--bisection", action="store_true",
+                         help="maximum bisection instead of maximum cut")
     p_solve.add_argument("--brute-limit", type=int, default=DEFAULT_BRUTE_LIMIT)
     p_solve.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_LIMIT)
     p_solve.set_defaults(func=cmd_solve)

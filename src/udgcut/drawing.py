@@ -55,17 +55,6 @@ class Crossing:
     vertical_edge: Edge
 
 
-@dataclass
-class CrossingReport:
-    items: list[Crossing]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
 def corridor_lines(p: Point, letter: str) -> tuple[int, int]:
     """(row yu, col xu) of the corridor's two mesh lines for a vertex at p."""
     dr, dc = CORRIDORS[letter]
@@ -319,7 +308,7 @@ def validate_drawing(d: MeshDrawing) -> list[str]:
     return problems
 
 
-def crossings(d: MeshDrawing) -> CrossingReport:
+def crossings(d: MeshDrawing) -> list[Crossing]:
     """Exhaustive list of proper crossings with horizontal/vertical roles."""
     edges = sorted(d.routes)
     routes = [d.routes[e] for e in edges]
@@ -332,8 +321,7 @@ def crossings(d: MeshDrawing) -> CrossingReport:
             raise DegenerateOverlapError(f"routes {e1} and {e2} overlap collinearly")
         h_first = _is_horizontal(*routes[r1][i1:i1 + 2])
         found[pt] = Crossing(pt, e1, e2) if h_first else Crossing(pt, e2, e1)
-    items = sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
-    return CrossingReport(items)
+    return sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
 
 
 # -- standardization -----------------------------------------------------------
@@ -412,7 +400,7 @@ def _first_pair_closer_than_ten(ps: list[Point], qs: list[Point] | None = None):
     return None if first is None else (pts[first[0]], pts[first[1]])
 
 
-def validate_standard(d: MeshDrawing, xreport: CrossingReport) -> StandardReport:
+def validate_standard(d: MeshDrawing, xreport: list[Crossing]) -> StandardReport:
     """Check conditions: (i) crossing-crossing, (ii) vertex-vertex,
     (iii) vertex-crossing distances >= 10, and (iv) distinct parallel carrier
     lines >= 10 apart (checked for every pair of occupied carrier lines,

@@ -10,6 +10,10 @@ pairs (the fixed-radius near-neighbour grid of Bentley, Stanat and Williams,
 radius and the cell width doubled, until a pair turns up.  The first pair of
 equal points met ends the scan, and one linear pass then names the smallest
 such pair.
+
+The straight-line crossing search runs the same scan on the doubled edge
+midpoints, with a radius of twice the longest edge, so it finds every
+crossing on any model, valid or not.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import (DegenerateOverlapError, InputError, TheoremViolationError,
@@ -146,57 +151,44 @@ class CrossingWitness:
 def straight_line_crossings(m: ProximityModel) -> list[CrossingWitness]:
     """Crossings of the straight-line drawing induced by the model points.
 
-    Valid models have edges of length <= 1, so two edges can only meet when
-    their midpoints are within one unit; candidate pairs come from a grid on
-    scaled midpoints.  Collinear overlaps are reported as witnesses.
+    Two edges that meet have midpoints at most half their summed lengths
+    apart, so candidate pairs come from the shared scan of the doubled
+    midpoints within twice the longest edge; this holds on any model, valid
+    or not.  Collinear overlaps are reported as witnesses.
     """
     pts = m.points
     edges = m.graph.sorted_edges()
-    mids = tuple(Point(pts[u].xu + pts[v].xu, pts[u].yu + pts[v].yu)
-                 for u, v in edges)  # doubled coordinates, still exact ints
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(mids):
-        buckets.setdefault((p.xu // (2 * SCALE), p.yu // (2 * SCALE)), []).append(i)
+    segs = [Segment.make(pts[u], pts[v]) for u, v in edges]
+    mids = [Point(a.xu + b.xu, a.yu + b.yu) for a, b in segs]  # doubled, exact
+    longest = max((dist2_units(a, b) for a, b in segs), default=0)
     witnesses = []
-    for (bx, by), members in buckets.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((bx + dx, by + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if i >= j:
-                            continue
-                        w = _edge_pair_witness(pts, edges[i], edges[j])
-                        if w is not None:
-                            witnesses.append(w)
+    for _, i, j in pairs_within(mids, 2 * isqrt(longest) + 2):
+        try:
+            p = segments_properly_cross(segs[i], segs[j])
+            if p is None:
+                continue
+        except DegenerateOverlapError:
+            p = None  # a collinear overlap
+        witnesses.append(CrossingWitness(edges[i], edges[j], p))
     witnesses.sort(key=lambda w: (w.edge1, w.edge2))
     return witnesses
 
 
-def _edge_pair_witness(pts, e1: Edge, e2: Edge) -> CrossingWitness | None:
-    shared = set(e1) & set(e2)
-    s1 = Segment.make(pts[e1[0]], pts[e1[1]])
-    s2 = Segment.make(pts[e2[0]], pts[e2[1]])
-    if shared:
-        # segments sharing an endpoint can only conflict by collinear overlap
-        try:
-            segments_properly_cross(s1, s2)
-        except DegenerateOverlapError:
-            return CrossingWitness(e1, e2, None)
-        return None
-    try:
-        p = segments_properly_cross(s1, s2)
-    except DegenerateOverlapError:
-        return CrossingWitness(e1, e2, None)
-    if p is not None:
-        return CrossingWitness(e1, e2, p)
-    return None
+def require_valid_model(m: ProximityModel) -> None:
+    """Raise InputError unless the edges are exactly the pairs of points at
+    distance at most 1, naming up to three missing and spurious edges."""
+    report = validate_model(m)
+    if not report.ok:
+        raise InputError(
+            "model edges disagree with its coordinates: "
+            f"missing={[e[:2] for e in report.missing_edges[:3]]} "
+            f"spurious={[e[:2] for e in report.spurious_edges[:3]]}")
 
 
 def planarity_verdict(m: ProximityModel) -> str:
-    """Dichotomy: precision2 > 1/2 certifies planarity; otherwise check."""
+    """Dichotomy on a valid model: precision2 > 1/2 certifies planarity;
+    otherwise check.  Invalid models raise InputError."""
+    require_valid_model(m)
     if len(m.points) < 2:
         return PLANAR_BY_THEOREM
     p2 = precision2(m)
@@ -232,6 +224,5 @@ def random_precise_model(rng: random.Random, n: int, box: int = 40) -> Proximity
         cand = Point(rng.randrange(0, box * SCALE + 1), rng.randrange(0, box * SCALE + 1))
         if all(dist2_units(cand, p) > HALF_DIST2_UNITS for p in pts):
             pts.append(cand)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if dist2_units(pts[i], pts[j]) <= ONE_DIST2_UNITS]
-    return ProximityModel(Graph(n, frozenset(edges)), tuple(pts))
+    edges = frozenset((i, j) for _, i, j in pairs_within(pts, SCALE))
+    return ProximityModel(Graph(n, edges), tuple(pts))

@@ -1,11 +1,14 @@
 """The command-line surface: exit codes, formats, determinism."""
 
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from udgcut.cli import main, model_svg
+from udgcut.cli import build_parser, main, model_svg
 from udgcut.gadget import h_model
 from udgcut.geometry import pairs_within
 from udgcut.graph_core import complete_graph, format_graph_text, graph, path_graph
@@ -71,7 +74,7 @@ def test_reduce_svg_shows_gadget_clusters(tmp_path, k5_file, capsys):
 
 
 def test_solve_cut_k5(tmp_path, k5_file, capsys):
-    assert main(["solve", "--in", k5_file, "--cut"]) == 0
+    assert main(["solve", "--in", k5_file]) == 0
     out = capsys.readouterr().out
     assert "max-cut 6" in out
     assert "side 0" in out
@@ -91,11 +94,13 @@ def test_solve_bisection_odd_parity_exits_2(tmp_path):
 
 
 def test_solve_methods_agree(tmp_path, k5_file, capsys):
-    assert main(["solve", "--in", k5_file, "--method", "brute"]) == 0
+    assert main(["solve", "--in", k5_file]) == 0
     brute_out = capsys.readouterr().out
-    assert main(["solve", "--in", k5_file, "--method", "dp"]) == 0
+    # a brute-force limit below n sends the graph to the treewidth DP
+    assert main(["solve", "--in", k5_file, "--brute-limit", "1"]) == 0
     dp_out = capsys.readouterr().out
-    assert "max-cut 6" in brute_out and "max-cut 6" in dp_out
+    assert "max-cut 6" in brute_out and "side 0" in brute_out
+    assert "max-cut 6" in dp_out and "not produced by the dp" in dp_out
 
 
 def test_solve_reads_model_json(tmp_path, capsys):
@@ -104,7 +109,7 @@ def test_solve_reads_model_json(tmp_path, capsys):
     out = tmp_path / "k2.json"
     main(["reduce", "--in", str(src), "--out", str(out)])
     capsys.readouterr()
-    assert main(["solve", "--in", str(out), "--method", "dp"]) == 0
+    assert main(["solve", "--in", str(out), "--brute-limit", "1"]) == 0
     printed = capsys.readouterr().out
     payload = json.loads(out.read_text())
     expected = 1 + payload["t"]
@@ -363,3 +368,29 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, command, flags):
         f.format(missing=missing, tmp=tmp_path) for f in flags]
     err = _exits_2_with_one_error_line(capsys, argv)
     assert f"cannot write {missing}: " in err
+
+
+def _readme_usage_options() -> dict[str, set[str]]:
+    """{subcommand: the options its lines name} from the README's
+    command-line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["udgcut"]:
+            command = words[1]
+            options[command] = set()
+        options[command].update(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_usage_names_exactly_the_parser_options():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {option for action in sub._actions
+                      for option in action.option_strings
+                      if option.startswith("--") and option != "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert _readme_usage_options() == defined

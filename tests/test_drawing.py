@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udgcut.drawing
-from udgcut.drawing import (Crossing, CrossingReport, MeshDrawing, StandardReport,
+from udgcut.drawing import (Crossing, MeshDrawing, StandardReport,
                             _axis_lines, _meetings, _placement_order, corridor_lines,
                             crossings, drawing_debug_json, mesh_draw, standardize,
                             validate_drawing, validate_standard)
@@ -232,7 +232,7 @@ def test_validate_standard_matches_the_all_pairs_reference():
     for d in drawings:
         xreport = crossings(d)
         # the witnesses follow the report's order, so try it reversed too
-        for report in (xreport, CrossingReport(xreport.items[::-1])):
+        for report in (xreport, xreport[::-1]):
             got = validate_standard(d, report)
             assert got == _validate_standard_by_all_pairs(d, report)
             failing += not got.ok
@@ -464,7 +464,7 @@ def _validate_drawing_by_pairs(d: MeshDrawing) -> list[str]:
     return problems
 
 
-def _crossings_by_pairs(d: MeshDrawing) -> CrossingReport:
+def _crossings_by_pairs(d: MeshDrawing) -> list[Crossing]:
     """Exhaustive list of proper crossings with horizontal/vertical roles."""
     edges = sorted(d.routes)
     found: dict[Point, Crossing] = {}
@@ -486,13 +486,12 @@ def _crossings_by_pairs(d: MeshDrawing) -> CrossingReport:
                         else:
                             cr = Crossing(pt, e2, e1)
                         found[pt] = cr
-    items = sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
-    return CrossingReport(items)
+    return sorted(found.values(), key=lambda c: (c.point.xu, c.point.yu))
 
 
 def _report_or_error(crossings_fn, d: MeshDrawing):
     try:
-        return crossings_fn(d).items
+        return crossings_fn(d)
     except DegenerateOverlapError as exc:
         return str(exc)
 

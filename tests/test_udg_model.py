@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgcut.errors import InputError, UndefinedPrecisionError
+from udgcut.errors import DegenerateOverlapError, InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
-from udgcut.geometry import ONE_DIST2_UNITS, Point, dist2, dist2_units, pairs_within
-from udgcut.graph_core import Graph, graph
+from udgcut.geometry import (ONE_DIST2_UNITS, Point, Segment, dist2, dist2_units,
+                             pairs_within, segments_properly_cross)
+from udgcut.graph_core import Graph, complete_graph, cycle_graph, graph
+from udgcut.reduction import reduce
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
-                              PLANAR_BY_THEOREM, ProximityModel,
+                              PLANAR_BY_THEOREM, CrossingWitness, ProximityModel,
                               conflict_gap2, planarity_verdict, precision2,
                               random_precise_model, straight_line_crossings,
                               validate_model)
@@ -280,3 +282,96 @@ def test_conflict_gap2_certifies_the_gap_above_one():
         val = conflict_gap2(Fraction(k, 20))
         assert val >= 1
         assert (val > 1) == (k < 20)
+
+
+def _crossings_by_all_pairs(m):
+    """Every pair of edges tested: the reference for straight_line_crossings.
+    Segments that meet have closed bounding boxes that meet, so pairs whose
+    boxes are apart are skipped without a crossing test."""
+    pts = m.points
+    edges = m.graph.sorted_edges()
+    segs = [Segment.make(pts[u], pts[v]) for u, v in edges]
+    boxes = [(min(a.xu, b.xu), max(a.xu, b.xu), min(a.yu, b.yu), max(a.yu, b.yu))
+             for a, b in segs]
+    found = []
+    for i in range(len(edges)):
+        x0, x1, y0, y1 = boxes[i]
+        for j in range(i + 1, len(edges)):
+            u0, u1, v0, v1 = boxes[j]
+            if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1:
+                continue
+            try:
+                p = segments_properly_cross(segs[i], segs[j])
+            except DegenerateOverlapError:
+                found.append(CrossingWitness(edges[i], edges[j], None))
+                continue
+            if p is not None:
+                found.append(CrossingWitness(edges[i], edges[j], p))
+    return found
+
+
+def test_straight_line_crossings_match_all_pairs_on_valid_models():
+    rng = random.Random(13)
+    models = [h_model()] + [random_precise_model(rng, rng.randint(2, 30))
+                            for _ in range(40)]
+    # dense models on a lattice of 1/4 and 1/5 units: many crossings, and
+    # collinear overlaps along the lattice lines
+    for _ in range(40):
+        step = rng.choice([4, 5])
+        lattice = [Point(step * x, step * y) for x in range(12) for y in range(12)]
+        pts = tuple(rng.sample(lattice, rng.randint(2, 40)))
+        edges = [(i, j) for _, i, j in pairs_within(pts, 20)]
+        models.append(ProximityModel(graph(len(pts), edges), pts))
+    models += [reduce(g).model for g in (complete_graph(4), cycle_graph(5))]
+    crossing = 0
+    for m in models:
+        assert validate_model(m).ok
+        found = straight_line_crossings(m)
+        assert found == _crossings_by_all_pairs(m)
+        crossing += bool(found)
+    assert crossing >= 30  # of the 83 models
+
+
+def test_straight_line_crossings_match_all_pairs_with_long_edges():
+    # edges of any length, ends on a coarse lattice, so long edges cross
+    # many others and overlap collinearly
+    rng = random.Random(29)
+    long_crossings = 0
+    for _ in range(100):
+        step = rng.choice([1, 7, 20])
+        pts = list({Point(step * rng.randrange(-30, 30), step * rng.randrange(-30, 30))
+                    for _ in range(rng.randint(2, 24))})
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        m = ProximityModel(graph(len(pts), rng.sample(pairs, min(len(pairs), 30))), tuple(pts))
+        found = straight_line_crossings(m)
+        assert found == _crossings_by_all_pairs(m)
+        long_crossings += any(
+            max(dist2_units(pts[u], pts[v]) for u, v in (w.edge1, w.edge2)) > ONE_DIST2_UNITS
+            for w in found)
+    assert long_crossings >= 50
+
+
+def test_an_edge_with_equal_ends_is_rejected_by_the_crossing_search():
+    pts = (Point(0, 0), Point(0, 0), Point(500, 500))
+    with pytest.raises(InputError, match="degenerate segment"):
+        straight_line_crossings(ProximityModel(graph(3, [(0, 1)]), pts))
+
+
+def test_planarity_verdict_rejects_an_invalid_model():
+    # edge 01 is two units long: bad input, not a failure of the theorem
+    pts = (Point.mesh(0, 0), Point.mesh(2, 0),
+           Point.of(1, Fraction(-2, 5)), Point.of(1, Fraction(2, 5)))
+    m = ProximityModel(graph(4, [(0, 1), (2, 3)]), pts)
+    assert straight_line_crossings(m) != []
+    with pytest.raises(InputError, match=r"missing=\[\] spurious=\[\(0, 1\)\]"):
+        planarity_verdict(m)
+
+
+def test_planarity_verdict_rejects_an_invalid_model_with_a_far_crossing():
+    # edge 01 is ten units long and crosses edge 23 nine units from its middle
+    pts = (Point.mesh(0, 0), Point.mesh(10, 0),
+           Point.of(1, Fraction(-2, 5)), Point.of(1, Fraction(2, 5)))
+    m = ProximityModel(graph(4, [(0, 1), (2, 3)]), pts)
+    assert [w.point for w in straight_line_crossings(m)] == [(1, 0)]
+    with pytest.raises(InputError, match=r"missing=\[\] spurious=\[\(0, 1\)\]"):
+        planarity_verdict(m)
