@@ -188,15 +188,13 @@ def check_h_exactness() -> CheckResult:
     return CheckResult(name, True, "28 pairs, precision2 = 1/2, mc(H) = 10")
 
 
-def run_all(seed: int, subdivisions: int = 200, gadgets: int = 100,
-            reductions: int = 20, models: int = 100,
-            oracle: int = 200) -> list[CheckResult]:
+def run_all(seed: int) -> list[CheckResult]:
     return [
         check_h_exactness(),
-        check_double_subdivision(seed, subdivisions),
-        check_gadget_plus_eight(seed + 1, gadgets),
+        check_double_subdivision(seed),
+        check_gadget_plus_eight(seed + 1),
         check_gadget_negative_control(),
-        check_reduction_identity(seed + 2, reductions),
-        check_precise_models_planar(seed + 3, models),
-        check_oracle_agreement(seed + 4, oracle),
+        check_reduction_identity(seed + 2),
+        check_precise_models_planar(seed + 3),
+        check_oracle_agreement(seed + 4),
     ]

@@ -9,17 +9,14 @@ or unsupported input, or an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .certify import run_all
-from .errors import (ConstructionError, InputError, SizeLimitError, UdgcutError,
-                     WidthLimitError)
+from .errors import InputError, UdgcutError
 from .geometry import SCALE
 from .graph_core import Graph, parse_graph_text
 from .reduction import ROLE_ORIGINAL, load_output_json, reduce, to_json
-from .solvers import (DEFAULT_BRUTE_LIMIT, DEFAULT_WIDTH_LIMIT,
-                      greedy_tree_decomposition, max_bisection_bruteforce,
+from .solvers import (DEFAULT_BRUTE_LIMIT, max_bisection_bruteforce,
                       max_cut_bruteforce, max_cut_treewidth_dp)
 from .udg_model import ProximityModel, require_valid_model
 
@@ -115,16 +112,15 @@ def _load_graph_or_model(text: str) -> Graph:
 def cmd_solve(args) -> int:
     g = _load_graph_or_model(_read_input(args.input))
     if args.bisection:
-        size, cut = max_bisection_bruteforce(g, limit=args.brute_limit)
+        size, cut = max_bisection_bruteforce(g)
         print(f"max-bisection {size}")
         print("side " + "".join(map(str, cut.side)))
-    elif g.n <= args.brute_limit:
-        size, cut = max_cut_bruteforce(g, limit=args.brute_limit)
+    elif g.n <= DEFAULT_BRUTE_LIMIT:
+        size, cut = max_cut_bruteforce(g)
         print(f"max-cut {size}")
         print("side " + "".join(map(str, cut.side)))
     else:
-        td = greedy_tree_decomposition(g)
-        size = max_cut_treewidth_dp(g, td, max_width=args.max_width)
+        size = max_cut_treewidth_dp(g)
         print(f"max-cut {size}")
         print("side (not produced by the dp method)")
     return 0
@@ -137,9 +133,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    results = run_all(args.seed, subdivisions=args.subdivisions,
-                      gadgets=args.gadgets, reductions=args.reductions,
-                      models=args.models, oracle=args.oracle)
+    results = run_all(args.seed)
     failed = False
     for res in results:
         print(res.line())
@@ -166,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--in", dest="input", help="graph file or model JSON")
     p_solve.add_argument("--bisection", action="store_true",
                          help="maximum bisection instead of maximum cut")
-    p_solve.add_argument("--brute-limit", type=int, default=DEFAULT_BRUTE_LIMIT)
-    p_solve.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_LIMIT)
     p_solve.set_defaults(func=cmd_solve)
 
     p_render = sub.add_parser("render", help="model JSON to SVG")
@@ -176,26 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render)
 
     p_cert = sub.add_parser("certify", help="run the certification suites")
-    p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--subdivisions", type=int, default=200,
-                        help="double-subdivision suite iterations")
-    p_cert.add_argument("--gadgets", type=int, default=100,
-                        help="gadget suite iterations")
-    p_cert.add_argument("--reductions", type=int, default=20,
-                        help="random end-to-end reduction instances")
-    p_cert.add_argument("--models", type=int, default=100,
-                        help="random precise-model planarity instances")
-    p_cert.add_argument("--oracle", type=int, default=200,
-                        help="dp vs brute cross-check instances")
+    p_cert.add_argument("--seed", type=int, default=0,
+                        help="picks the random sample of every suite")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 
 
 def _check_config(args):
-    for name in ("brute_limit", "max_width"):
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise InputError(f"--{name.replace('_', '-')} must be positive")
     paths = [p for p in (getattr(args, "input", None), getattr(args, "out", None),
                          getattr(args, "svg", None)) if p and p != "-"]
     if len(paths) != len(set(paths)):
@@ -208,10 +187,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_config(args)
         return args.func(args)
-    except (InputError, SizeLimitError, WidthLimitError, json.JSONDecodeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, UdgcutError) as exc:
+    except UdgcutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -240,7 +240,8 @@ def _stab(lines: dict, points: list[Point]):
 
 
 def validate_drawing(d: MeshDrawing) -> list[str]:
-    """All mesh-drawing invariants; returns a list of problems, [] if valid."""
+    """All mesh-drawing invariants; returns each problem once, in the order
+    first found, or [] if valid."""
     if set(d.placement) != set(range(d.graph.n)):
         return ["placement does not cover the vertex set"]
     problems: list[str] = []
@@ -305,7 +306,7 @@ def validate_drawing(d: MeshDrawing) -> list[str]:
             problems.append(f"crossing off the mesh at {pt}")
         for e3 in sorted(through[k] - involved):
             problems.append(f"crossing at {pt} lies on a third route {e3}")
-    return problems
+    return list(dict.fromkeys(problems))
 
 
 def crossings(d: MeshDrawing) -> list[Crossing]:

@@ -25,11 +25,11 @@ class DegenerateOverlapError(UdgcutError):
     """Two collinear segments overlap in more than a point (invalid drawing)."""
 
 
-class SizeLimitError(UdgcutError):
+class SizeLimitError(InputError):
     """Instance too large for exhaustive enumeration; use the DP solver."""
 
 
-class WidthLimitError(UdgcutError):
+class WidthLimitError(InputError):
     """Tree decomposition width exceeds the configured DP ceiling."""
 
 

@@ -22,7 +22,13 @@ from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from .graph_core import Cut, Graph, adjacency, canon_edge
 
 DEFAULT_BRUTE_LIMIT = 26
-DEFAULT_WIDTH_LIMIT = 12
+# A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
+# is a memory bound.  DP on the min-fill decomposition of the grid P_3k x P_k
+# (one run each, 2 vCPUs, Python 3.11.7): width 13 in 0.14 s and 19 MB of
+# process maxrss, 16 in 1.3 s and 36 MB, 20 in 10.6 s and 218 MB, 24 in 78 s
+# and 3.0 GB.  The reduce outputs of random degree-4 graphs with n = 14, 24
+# and 32 have width 13, 15 and 15; `solve` takes under 1 s and 70 MB on each.
+DEFAULT_WIDTH_LIMIT = 20
 
 
 def _side_tuple(key: int, n: int) -> tuple[int, ...]:
@@ -295,6 +301,19 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(bags, tree)
 
 
+def _reach(adj: dict[int, set[int]], start: int,
+           within: set[int] | None = None) -> set[int]:
+    """The nodes reachable from start, through nodes of within if given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen and (within is None or y in within):
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     """Returns [] when td satisfies the three decomposition properties for g.
 
@@ -319,37 +338,28 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     # connectivity of each vertex's bag set
     nbags = len(td.bags)
     tree_adj: dict[int, set[int]] = {i: set() for i in range(nbags)}
+    tree_edges = 0
     for i, j in td.tree:
         if not (0 <= i < nbags and 0 <= j < nbags):
             problems.append(f"tree edge {(i, j)} names a bag that does not exist; "
                             f"there are {nbags}")
             continue
+        tree_edges += 1
         tree_adj[i].add(j)
         tree_adj[j].add(i)
-    if nbags > 1:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in tree_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != nbags:
-            problems.append("decomposition tree is not connected")
+    components, seen = 0, set()
+    for root in range(nbags):
+        if root not in seen:
+            components += 1
+            seen |= _reach(tree_adj, root)
+    if components > 1:
+        problems.append("decomposition tree is not connected")
+    # a forest on nbags nodes has exactly nbags - components edges
+    if tree_edges > nbags - components:
+        problems.append("decomposition tree has a cycle")
     for v in range(g.n):
         holding_set = holding.get(v)
-        if not holding_set:
-            continue
-        stack = [min(holding_set)]
-        seen = set(stack)
-        while stack:
-            x = stack.pop()
-            for y in tree_adj[x]:
-                if y in holding_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != holding_set:
+        if holding_set and _reach(tree_adj, min(holding_set), holding_set) != holding_set:
             problems.append(f"bags containing vertex {v} are not connected")
     return problems
 
@@ -394,9 +404,9 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
     over three or more vertices goes to the parent; a smaller one,
     symmetric under flipping every side, becomes a constant plus one pair
     weight.  Raises InputError when a bag or tree edge names something that
-    does not exist, when the tree does not reach every bag from bag 0, when
-    the bags holding a vertex are not connected, or when an edge lies in no
-    bag.
+    does not exist, when the tree does not reach every bag from bag 0 or
+    has a cycle, when the bags holding a vertex are not connected, or when
+    an edge lies in no bag.
     """
     if td is None:
         td = greedy_tree_decomposition(g)
@@ -426,6 +436,8 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                 order.append((y, x))
     if len(order) != len(bags):
         raise InputError("decomposition tree does not reach every bag from bag 0")
+    if len(td.tree) > len(bags) - 1:
+        raise InputError("decomposition tree has a cycle")
 
     w: list[dict[int, int]] = [{} for _ in range(n)]
     for u, v in g.edges:

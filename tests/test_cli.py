@@ -3,16 +3,20 @@
 import argparse
 import io
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+from udgcut import errors
 from udgcut.cli import build_parser, main, model_svg
 from udgcut.gadget import h_model
 from udgcut.geometry import pairs_within
-from udgcut.graph_core import complete_graph, format_graph_text, graph, path_graph
+from udgcut.graph_core import (complete_graph, format_graph_text, graph, path_graph,
+                               random_graph)
 from udgcut.reduction import to_json
+from udgcut.solvers import max_cut_bruteforce
 
 
 @pytest.fixture
@@ -93,14 +97,34 @@ def test_solve_bisection_odd_parity_exits_2(tmp_path):
     assert main(["solve", "--in", str(src), "--bisection"]) == 2
 
 
+def _recovered_mc(capsys, model_path) -> int:
+    """solve on a model JSON, less 8k + t: mc of the graph it was reduced from."""
+    assert main(["solve", "--in", str(model_path)]) == 0
+    printed = capsys.readouterr().out
+    assert "not produced by the dp" in printed
+    payload = json.loads(model_path.read_text())
+    size = int(re.search(r"max-cut (\d+)", printed).group(1))
+    return size - 8 * payload["k"] - payload["t"]
+
+
 def test_solve_methods_agree(tmp_path, k5_file, capsys):
     assert main(["solve", "--in", k5_file]) == 0
     brute_out = capsys.readouterr().out
-    # a brute-force limit below n sends the graph to the treewidth DP
-    assert main(["solve", "--in", k5_file, "--brute-limit", "1"]) == 0
-    dp_out = capsys.readouterr().out
     assert "max-cut 6" in brute_out and "side 0" in brute_out
-    assert "max-cut 6" in dp_out and "not produced by the dp" in dp_out
+    # K5's model has thousands of vertices, so solve takes the treewidth DP
+    out = tmp_path / "k5.json"
+    assert main(["reduce", "--in", k5_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _recovered_mc(capsys, out) == 6
+
+
+def test_solve_takes_a_width_13_model_within_the_dp_ceiling(tmp_path, capsys):
+    g = random_graph(random.Random(14), 14, 0.5, 4)
+    src, out = tmp_path / "g.txt", tmp_path / "g.json"
+    src.write_text(format_graph_text(g))
+    assert main(["reduce", "--in", str(src), "--out", str(out)]) == 0
+    assert "vertices=10820 " in capsys.readouterr().out
+    assert _recovered_mc(capsys, out) == max_cut_bruteforce(g)[0]
 
 
 def test_solve_reads_model_json(tmp_path, capsys):
@@ -109,7 +133,7 @@ def test_solve_reads_model_json(tmp_path, capsys):
     out = tmp_path / "k2.json"
     main(["reduce", "--in", str(src), "--out", str(out)])
     capsys.readouterr()
-    assert main(["solve", "--in", str(out), "--brute-limit", "1"]) == 0
+    assert main(["solve", "--in", str(out)]) == 0
     printed = capsys.readouterr().out
     payload = json.loads(out.read_text())
     expected = 1 + payload["t"]
@@ -150,9 +174,8 @@ def test_render_svg_exact_coordinates():
     assert 'cx="16" cy="-16"' in svg
 
 
-def test_certify_zero_iterations_vacuous_pass(capsys):
-    rc = main(["certify", "--seed", "1", "--subdivisions", "0", "--gadgets", "0",
-               "--reductions", "0", "--models", "0", "--oracle", "0"])
+def test_certify_passes_every_suite_on_another_seed(capsys):
+    rc = main(["certify", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
@@ -165,8 +188,6 @@ def test_missing_file_exits_2():
 
 def test_config_invariants_enforced(tmp_path, k5_file):
     assert main(["reduce", "--in", k5_file, "--out", k5_file]) == 2
-    assert main(["solve", "--in", k5_file, "--brute-limit", "0"]) == 2
-    assert main(["solve", "--in", k5_file, "--max-width", "-1"]) == 2
 
 
 def test_certify_failure_prints_counterexample(capsys, monkeypatch):
@@ -196,12 +217,39 @@ def test_certify_reports_a_construction_error_with_the_graph(capsys, monkeypatch
     assert not res.ok
     assert "planted on purpose" in res.detail
     assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
-    rc = main(["certify", "--subdivisions", "0", "--gadgets", "0", "--reductions", "0",
-               "--models", "0", "--oracle", "0"])
+    rc = main(["certify"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL reduction identity" in out
     assert "counterexample" in out
+
+
+_EXIT_CODES = {
+    errors.UdgcutError: 1, errors.InputError: 2, errors.PreconditionError: 2,
+    errors.ParityError: 2, errors.UndefinedPrecisionError: 2,
+    errors.DegenerateOverlapError: 1, errors.SizeLimitError: 2,
+    errors.WidthLimitError: 2, errors.InconsistencyError: 1,
+    errors.ConstructionError: 1, errors.TheoremViolationError: 1,
+}
+
+
+def test_the_exit_code_table_names_every_error_class():
+    defined = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.UdgcutError)}
+    assert set(_EXIT_CODES) == defined
+
+
+@pytest.mark.parametrize("cls", list(_EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code_and_one_line(capsys, monkeypatch, cls):
+    import udgcut.cli as cli_mod
+
+    def raising_run_all(seed):
+        raise cls("raised on purpose")
+
+    monkeypatch.setattr(cli_mod, "run_all", raising_run_all)
+    assert main(["certify"]) == _EXIT_CODES[cls]
+    captured = capsys.readouterr()
+    assert captured.err == "error: raised on purpose\n" and captured.out == ""
 
 
 def test_certify_reports_the_dp_width_limit_with_the_graph(monkeypatch):

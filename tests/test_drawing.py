@@ -497,7 +497,8 @@ def _report_or_error(crossings_fn, d: MeshDrawing):
 
 
 def _assert_matches_the_pair_loops(d: MeshDrawing):
-    assert validate_drawing(d) == _validate_drawing_by_pairs(d)
+    # the pair loops report a problem once per pair of segments that shows it
+    assert validate_drawing(d) == list(dict.fromkeys(_validate_drawing_by_pairs(d)))
     assert _report_or_error(crossings, d) == _report_or_error(_crossings_by_pairs, d)
 
 
@@ -535,11 +536,11 @@ _BAD_DRAWINGS = {
     "folds onto itself": (
         {0: (0, 0), 1: (5, 5)}, {(0, 1): [(0, 0), (0, 10), (0, 5), (5, 5)]},
         ["route (0, 1) folds onto itself", "route (0, 1) self-intersects"]),
-    # a corner of (2, 3) rests on (0, 1): once for each of its two segments
+    # a corner of (2, 3) rests on (0, 1): met by both of its segments, reported once
     "touch non-transversally": (
         {0: (0, 0), 1: (10, 0), 2: (5, 10), 3: (15, -5)},
         {(0, 1): [(0, 0), (10, 0)], (2, 3): [(5, 10), (5, 0), (5, -5), (15, -5)]},
-        ["routes (0, 1) and (2, 3) touch non-transversally at Point(xu=100, yu=0)"] * 2),
+        ["routes (0, 1) and (2, 3) touch non-transversally at Point(xu=100, yu=0)"]),
     # a third route crossing at the same point runs along one of the two
     "three routes meet": (
         _PLUS, {(0, 1): [(-10, 0), (10, 0)], (2, 3): [(0, -10), (0, 10)],
@@ -576,7 +577,7 @@ _BAD_DRAWINGS = {
     "corner off the mesh": (
         {0: (0, 0), 1: (10, 10)},
         {(0, 1): [(0, 0), Point(0, 110), Point(200, 110), (10, 10)]},
-        ["route corner off the mesh on (0, 1)"] * 3),
+        ["route corner off the mesh on (0, 1)"]),
     "vertices coincide": (
         {0: (0, 0), 1: (10, 0), 2: (0, 0)}, {(0, 1): [(0, 0), (10, 0)]},
         ["vertices 0 and 2 coincide at Point(xu=0, yu=0)",

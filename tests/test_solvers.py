@@ -437,6 +437,17 @@ def test_dp_rejects_a_tree_edge_to_a_missing_bag():
         max_cut_treewidth_dp(edge, td)
 
 
+def test_a_tree_with_a_cycle_is_rejected_by_the_validator_and_the_dp():
+    triangle = cycle_graph(3)
+    cyclic = TreeDecomposition([frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})],
+                               [(0, 1), (1, 2), (2, 0)])
+    self_loop = TreeDecomposition([frozenset({0, 1, 2})], [(0, 0)])
+    for td in (cyclic, self_loop):
+        assert validate_tree_decomposition(triangle, td) == ["decomposition tree has a cycle"]
+        with pytest.raises(InputError, match="decomposition tree has a cycle"):
+            max_cut_treewidth_dp(triangle, td)
+
+
 def test_dp_rejects_a_bag_vertex_outside_the_graph():
     edge = graph(2, [(0, 1)])
     for stray in (7, -1):
