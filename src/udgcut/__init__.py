@@ -16,11 +16,10 @@ from .udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK, PLANAR_BY_THEOREM,
                         straight_line_crossings, validate_model)
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model
 from .drawing import (Crossing, MeshDrawing, StandardReport, crossings,
-                      drawing_debug_json, mesh_draw, standardize,
-                      validate_drawing, validate_standard)
+                      mesh_draw, standardize, validate_drawing, validate_standard)
 from .solvers import (TreeDecomposition, greedy_tree_decomposition,
                       max_bisection_bruteforce, max_cut_bruteforce,
-                      max_cut_treewidth_dp, validate_tree_decomposition)
+                      max_cut_treewidth_dp)
 from .reduction import (LoadedOutput, Provenance, ReductionOutput,
                         bisection_double, load_output_json, recover_mc, reduce,
                         to_json, validate_reduction)

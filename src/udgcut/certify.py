@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstructionError, PreconditionError, WidthLimitError
+from .errors import (ConstructionError, InconsistencyError, PreconditionError,
+                     WidthLimitError)
 from .gadget import build_H, construct_H_on, h_model
 from .graph_core import (Graph, canon_edge, complete_graph, cycle_graph,
                          format_graph_text, petersen_graph, random_graph,
@@ -36,22 +37,25 @@ def _fail(name: str, detail: str, data) -> CheckResult:
     return CheckResult(name, False, detail, json.dumps(data, default=str))
 
 
-def check_double_subdivision(seed: int, iterations: int = 200) -> CheckResult:
-    """Subdividing one edge twice raises the maximum cut by exactly 2."""
+def check_double_subdivision(seed: int) -> CheckResult:
+    """Subdividing one edge twice raises the maximum cut by exactly 2, on
+    each of 200 random draws that has an edge."""
     name = "double-subdivision (+2)"
     rng = random.Random(seed)
-    for i in range(iterations):
+    checked = 0
+    for i in range(200):
         n = rng.randint(2, 9)
         g = random_graph(rng, n, p=rng.uniform(0.2, 0.9))
         if not g.edges:
             continue
+        checked += 1
         e = rng.choice(g.sorted_edges())
         before = max_cut_bruteforce(g)[0]
         after = max_cut_bruteforce(subdivide_edge_twice(g, e))[0]
         if after != before + 2:
             return _fail(name, f"iteration {i}: {before} -> {after}",
                          {"graph": format_graph_text(g), "edge": e})
-    return CheckResult(name, True, f"{iterations} random instances")
+    return CheckResult(name, True, f"{checked} random instances")
 
 
 def _random_gadget_instance(rng: random.Random):
@@ -73,18 +77,18 @@ def _random_gadget_instance(rng: random.Random):
             return g, rng.choice(pairs)
 
 
-def check_gadget_plus_eight(seed: int, iterations: int = 100) -> CheckResult:
+def check_gadget_plus_eight(seed: int) -> CheckResult:
     """Planting the gadget on a valid edge pair raises the cut by exactly 8."""
     name = "gadget construction (+8)"
     rng = random.Random(seed)
-    for i in range(iterations):
+    for i in range(100):
         g, (e1, e2) = _random_gadget_instance(rng)
         before = max_cut_bruteforce(g)[0]
         after = max_cut_bruteforce(construct_H_on(g, e1, e2)[0])[0]
         if after != before + 8:
             return _fail(name, f"iteration {i}: {before} -> {after}",
                          {"graph": format_graph_text(g), "edges": [e1, e2]})
-    return CheckResult(name, True, f"{iterations} random instances")
+    return CheckResult(name, True, "100 random instances")
 
 
 def check_gadget_negative_control() -> CheckResult:
@@ -112,22 +116,21 @@ def named_instances() -> list[tuple[str, Graph]]:
             ("C5", cycle_graph(5)), ("Petersen", petersen_graph())]
 
 
-def check_reduction_identity(seed: int, random_count: int = 20) -> CheckResult:
+def check_reduction_identity(seed: int) -> CheckResult:
     """End-to-end: reduce (which validates the model and its precision)
     and mc(U) - 8k - t = mc(G)."""
     name = "reduction identity (8k + t)"
     rng = random.Random(seed)
     cases = named_instances()
-    for i in range(random_count):
+    for i in range(20):
         cases.append((f"random{i}", random_graph(rng, rng.randint(2, 8),
                                                  p=rng.uniform(0.3, 0.8), max_deg=4)))
     for label, g in cases:
         try:
             r = reduce(g)
-            mc_u = max_cut_treewidth_dp(r.result)
-        except (ConstructionError, WidthLimitError) as exc:
+            recovered = recover_mc(max_cut_treewidth_dp(r.result), r.k, r.t)
+        except (ConstructionError, InconsistencyError, WidthLimitError) as exc:
             return _fail(name, f"{label}: {exc}", {"graph": format_graph_text(g)})
-        recovered = recover_mc(mc_u, r.k, r.t)
         expected = max_cut_bruteforce(g)[0]
         if recovered != expected:
             return _fail(name, f"{label}: recovered {recovered} != {expected}",
@@ -135,12 +138,12 @@ def check_reduction_identity(seed: int, random_count: int = 20) -> CheckResult:
     return CheckResult(name, True, f"{len(cases)} instances (4 named)")
 
 
-def check_precise_models_planar(seed: int, iterations: int = 100) -> CheckResult:
+def check_precise_models_planar(seed: int) -> CheckResult:
     """Models with squared precision above 1/2 draw with straight lines and
     no crossings; the gadget model sits exactly on the boundary and crosses."""
     name = "precision above 1/sqrt(2) is planar"
     rng = random.Random(seed)
-    for i in range(iterations):
+    for i in range(100):
         m = random_precise_model(rng, rng.randint(2, 12))
         if straight_line_crossings(m):
             return _fail(name, f"iteration {i}: crossing found",
@@ -148,17 +151,16 @@ def check_precise_models_planar(seed: int, iterations: int = 100) -> CheckResult
     hm = h_model()
     if precision2(hm) != Fraction(1, 2) or not straight_line_crossings(hm):
         return _fail(name, "boundary witness failed", {})
-    return CheckResult(name, True,
-                       f"{iterations} random models; boundary witness crossed")
+    return CheckResult(name, True, "100 random models; boundary witness crossed")
 
 
-def check_oracle_agreement(seed: int, iterations: int = 200) -> CheckResult:
+def check_oracle_agreement(seed: int) -> CheckResult:
     """Treewidth DP equals brute force on random graphs; every second one
     has its edges subdivided, so that the DP forgets chains of degree-2
     vertices by the chain rule."""
     name = "oracle cross-check (dp = brute)"
     rng = random.Random(seed)
-    for i in range(iterations):
+    for i in range(200):
         if i % 2:
             g = subdivide_randomly(rng, random_graph(rng, rng.randint(2, 8),
                                                      p=rng.uniform(0.2, 0.8)), max_n=14)
@@ -169,8 +171,7 @@ def check_oracle_agreement(seed: int, iterations: int = 200) -> CheckResult:
         if by_dp != by_brute:
             return _fail(name, f"iteration {i}: dp {by_dp} != brute {by_brute}",
                          {"graph": format_graph_text(g)})
-    return CheckResult(name, True,
-                       f"{iterations} random graphs, {iterations // 2} of them subdivided")
+    return CheckResult(name, True, "200 random graphs, 100 of them subdivided")
 
 
 def check_h_exactness() -> CheckResult:

@@ -87,12 +87,10 @@ def cmd_reduce(args) -> int:
     text = to_json(out)
     stats = (f"k={out.k} t={out.t} vertices={out.result.n} "
              f"edges={out.result.m}\n")
-    if args.out:
-        _write_output(args.out, text)
-        sys.stdout.write(stats)
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(stats)
+    _write_output(args.out, text)
+    # the stats line goes to stderr when the JSON or the SVG goes to stdout
+    stdout_used = args.out in (None, "-") or args.svg == "-"
+    (sys.stderr if stdout_used else sys.stdout).write(stats)
     if args.svg:
         roles = {v: p.role for v, p in out.provenance.items()}
         _write_output(args.svg, model_svg(out.model, roles))
@@ -179,6 +177,8 @@ def _check_config(args):
                          getattr(args, "svg", None)) if p and p != "-"]
     if len(paths) != len(set(paths)):
         raise InputError("input and output paths must be distinct")
+    if getattr(args, "svg", None) == "-" and args.out in (None, "-"):
+        raise InputError("the model JSON and the SVG cannot both go to stdout")
 
 
 def main(argv: list[str] | None = None) -> int:

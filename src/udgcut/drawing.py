@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, DegenerateOverlapError, InputError
@@ -424,19 +423,3 @@ def validate_standard(d: MeshDrawing, xreport: list[Crossing]) -> StandardReport
                 report.witnesses.setdefault(f"parallel_{name}", (a, b))
     return report
 
-
-def drawing_debug_json(d: MeshDrawing) -> str:
-    """Debug dump: placements and polylines in integer mesh coordinates."""
-    payload = {
-        "n": d.graph.n,
-        "placements": [
-            {"vertex": v, "x": p.xu // SCALE, "y": p.yu // SCALE}
-            for v, p in sorted(d.placement.items())
-        ],
-        "routes": [
-            {"edge": [u, v],
-             "corners": [[p.xu // SCALE, p.yu // SCALE] for p in route]}
-            for (u, v), route in sorted(d.routes.items())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -301,69 +301,6 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(bags, tree)
 
 
-def _reach(adj: dict[int, set[int]], start: int,
-           within: set[int] | None = None) -> set[int]:
-    """The nodes reachable from start, through nodes of within if given."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen and (within is None or y in within):
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
-    """Returns [] when td satisfies the three decomposition properties for g.
-
-    One pass over the bags lists the bags holding each vertex; an edge is
-    covered when the bag sets of its two ends meet.  A bag entry that is not
-    a vertex of g, or a tree edge naming a bag that does not exist, is a
-    problem of its own and is otherwise ignored.
-    """
-    holding: dict[int, set[int]] = {}
-    for i, b in enumerate(td.bags):
-        for v in b:
-            holding.setdefault(v, set()).add(i)
-    stray = [v for v in holding if not 0 <= v < g.n]
-    problems = [f"bag {i} holds {v}, which is not a vertex of the {g.n}-vertex graph"
-                for i, v in sorted((i, v) for v in stray for i in holding.pop(v))]
-    covered = set(holding)
-    if covered != set(range(g.n)):
-        problems.append(f"vertices missing from bags: {set(range(g.n)) - covered}")
-    for e in g.sorted_edges():
-        if holding.get(e[0], set()).isdisjoint(holding.get(e[1], ())):
-            problems.append(f"edge {e} in no bag")
-    # connectivity of each vertex's bag set
-    nbags = len(td.bags)
-    tree_adj: dict[int, set[int]] = {i: set() for i in range(nbags)}
-    tree_edges = 0
-    for i, j in td.tree:
-        if not (0 <= i < nbags and 0 <= j < nbags):
-            problems.append(f"tree edge {(i, j)} names a bag that does not exist; "
-                            f"there are {nbags}")
-            continue
-        tree_edges += 1
-        tree_adj[i].add(j)
-        tree_adj[j].add(i)
-    components, seen = 0, set()
-    for root in range(nbags):
-        if root not in seen:
-            components += 1
-            seen |= _reach(tree_adj, root)
-    if components > 1:
-        problems.append("decomposition tree is not connected")
-    # a forest on nbags nodes has exactly nbags - components edges
-    if tree_edges > nbags - components:
-        problems.append("decomposition tree has a cycle")
-    for v in range(g.n):
-        holding_set = holding.get(v)
-        if holding_set and _reach(tree_adj, min(holding_set), holding_set) != holding_set:
-            problems.append(f"bags containing vertex {v} are not connected")
-    return problems
-
-
 # -- the cut DP -----------------------------------------------------------------
 
 

@@ -57,6 +57,27 @@ def test_reduce_malformed_input_exits_2(tmp_path):
     assert main(["reduce", "--in", str(src)]) == 2
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+def test_reduce_to_stdout_pipes_into_solve(tmp_path, capsys, monkeypatch, out):
+    src = tmp_path / "k3.txt"
+    src.write_text(format_graph_text(complete_graph(3)))
+    assert main(["reduce", "--in", str(src)] + out) == 0
+    captured = capsys.readouterr()
+    k, t = map(int, re.match(r"k=(\d+) t=(\d+) ", captured.err).groups())
+    monkeypatch.setattr("sys.stdin", io.StringIO(captured.out))
+    assert main(["solve", "--in", "-"]) == 0
+    mc_u = int(capsys.readouterr().out.split()[1])
+    assert mc_u - 8 * k - t == 2
+
+
+def test_reduce_svg_to_stdout_keeps_the_stats_line_off_it(tmp_path, k5_file, capsys):
+    out = tmp_path / "k5.json"
+    assert main(["reduce", "--in", k5_file, "--out", str(out), "--svg", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("<svg ") and captured.out.endswith("</svg>\n")
+    assert captured.err.startswith("k=")
+
+
 def test_reduce_determinism_byte_identical(tmp_path, k5_file):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -186,8 +207,14 @@ def test_missing_file_exits_2():
     assert main(["reduce", "--in", "/nonexistent/file.txt"]) == 2
 
 
-def test_config_invariants_enforced(tmp_path, k5_file):
+def test_config_invariants_enforced(tmp_path, k5_file, capsys):
     assert main(["reduce", "--in", k5_file, "--out", k5_file]) == 2
+    capsys.readouterr()
+    # the model JSON and the SVG cannot share stdout
+    for out in ([], ["--out", "-"]):
+        err = _exits_2_with_one_error_line(capsys, ["reduce", "--in", k5_file,
+                                                    "--svg", "-"] + out)
+        assert "both go to stdout" in err
 
 
 def test_certify_failure_prints_counterexample(capsys, monkeypatch):
@@ -213,7 +240,7 @@ def test_certify_reports_a_construction_error_with_the_graph(capsys, monkeypatch
         raise ConstructionError("model invalid: planted on purpose")
 
     monkeypatch.setattr(certify_mod, "reduce", failing_reduce)
-    res = certify_mod.check_reduction_identity(seed=0, random_count=0)
+    res = certify_mod.check_reduction_identity(seed=0)
     assert not res.ok
     assert "planted on purpose" in res.detail
     assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
@@ -252,13 +279,34 @@ def test_each_error_class_exits_with_its_code_and_one_line(capsys, monkeypatch, 
     assert captured.err == "error: raised on purpose\n" and captured.out == ""
 
 
+def test_certify_reports_a_negative_cut_identity_with_the_graph(capsys, monkeypatch):
+    import udgcut.certify as certify_mod
+
+    monkeypatch.setattr(certify_mod, "max_cut_treewidth_dp", lambda g: 0)
+    res = certify_mod.check_reduction_identity(seed=0)
+    assert not res.ok
+    assert re.fullmatch(r"K4: mc_u=0 smaller than 8k\+t=\d+", res.detail)
+    assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
+    assert main(["certify"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 9   # seven suite lines, two of them with a counterexample
+    assert "FAIL reduction identity (8k + t): K4: mc_u=0 smaller than" in out
+
+
+def test_certify_double_subdivision_counts_the_draws_it_checks():
+    from udgcut.certify import check_double_subdivision
+    # 16 of the 200 seed-0 draws have no edge and are skipped
+    assert check_double_subdivision(0).line() == (
+        "PASS double-subdivision (+2): 184 random instances")
+
+
 def test_certify_reports_the_dp_width_limit_with_the_graph(monkeypatch):
     import udgcut.certify as certify_mod
     from udgcut.solvers import max_cut_treewidth_dp
 
     monkeypatch.setattr(certify_mod, "max_cut_treewidth_dp",
                         lambda g: max_cut_treewidth_dp(g, max_width=1))
-    res = certify_mod.check_reduction_identity(seed=0, random_count=0)
+    res = certify_mod.check_reduction_identity(seed=0)
     assert not res.ok
     assert res.detail.startswith("K4: decomposition width ")
     assert res.detail.endswith(" exceeds 1")

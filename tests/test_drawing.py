@@ -1,6 +1,5 @@
 """Mesh drawings: template validity, corridor discipline, standardization."""
 
-import json
 import random
 import sys
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 import udgcut.drawing
 from udgcut.drawing import (Crossing, MeshDrawing, StandardReport,
                             _axis_lines, _meetings, _placement_order, corridor_lines,
-                            crossings, drawing_debug_json, mesh_draw, standardize,
+                            crossings, mesh_draw, standardize,
                             validate_drawing, validate_standard)
 from udgcut.errors import DegenerateOverlapError, InputError
 from udgcut.geometry import SCALE, Point, dist2_units
@@ -250,16 +249,6 @@ def test_overlapping_routes_are_rejected():
     with pytest.raises(DegenerateOverlapError):
         crossings(d)
     _assert_matches_the_pair_loops(d)
-
-
-def test_debug_json_round_trips_mesh_coordinates():
-    d = mesh_draw(complete_graph(3))
-    payload = json.loads(drawing_debug_json(d))
-    assert payload["n"] == 3
-    assert len(payload["routes"]) == 3
-    for rec in payload["placements"]:
-        v = rec["vertex"]
-        assert d.placement[v] == Point.mesh(rec["x"], rec["y"])
 
 
 def test_random_degree4_graphs_draw_validly():

@@ -2,6 +2,7 @@
 identity, parity bookkeeping, doubling, and the JSON contract."""
 
 import ast
+import inspect
 import json
 import random
 import re
@@ -336,3 +337,17 @@ def test_the_traced_benchmark_finds_every_callee_it_wraps():
     missing = [name for name in callees
                if not callable(getattr(udgcut.reduction, name, None))]
     assert callees and missing == []
+
+
+def test_the_benchmark_finds_every_name_it_calls_on_udgcut():
+    # perfbench/child.py reaches the library as `u.<name>`; a name that is
+    # gone, or a DP that no longer takes the decomposition and the width
+    # ceiling, makes every benchmark run fail
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text()
+    names = {node.attr for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "u"}
+    assert "max_cut_treewidth_dp" in names
+    assert sorted(name for name in names if not hasattr(udgcut, name)) == []
+    dp_parameters = inspect.signature(udgcut.max_cut_treewidth_dp).parameters
+    assert {"td", "max_width"} <= dp_parameters.keys()
