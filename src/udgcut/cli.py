@@ -9,6 +9,7 @@ or unsupported input, or an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .certify import run_all
@@ -173,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_config(args):
-    paths = [p for p in (getattr(args, "input", None), getattr(args, "out", None),
-                         getattr(args, "svg", None)) if p and p != "-"]
+    named = [getattr(args, name, None) for name in ("input", "out", "svg")]
+    paths = [os.path.realpath(p) for p in named if p and p != "-"]  # ./g.txt is g.txt
     if len(paths) != len(set(paths)):
         raise InputError("input and output paths must be distinct")
     if getattr(args, "svg", None) == "-" and args.out in (None, "-"):

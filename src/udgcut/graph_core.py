@@ -19,8 +19,8 @@ Edge = tuple[int, int]
 # cheapest input of its size, `reduce` is near-linear: 0.02 s at 1 000
 # vertices, 0.05 s at 2 000 and 0.2 s at 8 000 (Python 3.11, 2 vCPUs).
 # With edges the time follows the size of U(G), which grows with the
-# drawing's crossings and route lengths: cycle_graph(300) takes about 1.1 s
-# and cycle_graph(1000) 4 s, most of it building U(G) and validate_model;
+# drawing's crossings and route lengths: cycle_graph(300) takes 0.9 s and
+# cycle_graph(1000) 3.3-3.5 s, most of it building U(G) and validate_model;
 # the drawing checks, a sweep, take 0.05 s and 0.2 s of that.
 MAX_VERTICES = 8000
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 
 from .drawing import MeshDrawing, crossings, mesh_draw, standardize, validate_drawing, validate_standard
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
@@ -116,17 +117,19 @@ def reduce(g: Graph) -> ReductionOutput:
         sites[cr.horizontal_edge][cr.point] = True
         sites[cr.vertical_edge][cr.point] = False
 
+    # Provenance is frozen: the vertices of one edge or one gadget share one
     b = _Builder()
+    original = Provenance(ROLE_ORIGINAL)
     for v in range(g.n):
-        b.new_node(drawn.placement[v], Provenance(ROLE_ORIGINAL))
+        b.new_node(drawn.placement[v], original)
 
     # Step 2: every path in its final form; its edges are consecutive pairs.
     paths: dict[Edge, list[int]] = {}
     per_edge: dict[Edge, int] = {}  # subdivision vertices on each edge
     for e in sorted(drawn.routes):
         inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
-        path = [e[0]] + [b.new_node(pt, Provenance(ROLE_SUBDIVISION, edge=e))
-                         for pt in inner] + [e[1]]
+        prov = Provenance(ROLE_SUBDIVISION, edge=e)
+        path = [e[0]] + [b.new_node(pt, prov) for pt in inner] + [e[1]]
         for a_, b_ in zip(path, path[1:]):
             b.add_edge(a_, b_)
         paths[e] = path
@@ -199,8 +202,8 @@ def _plant_gadget(b: _Builder, node_at: dict[Point, int], cp: Point) -> GadgetIn
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
     center = Point(x, y + _HALF)
-    ws = tuple(b.new_node(center.translate(dx, dy), Provenance(ROLE_GADGET_W, crossing=(x, y)))
-               for dx, dy in W_OFFSETS)
+    prov = Provenance(ROLE_GADGET_W, crossing=(x, y))
+    ws = tuple(b.new_node(center.translate(dx, dy), prov) for dx, dy in W_OFFSETS)
     ids = vs + ws
     added = tuple(canon_edge(ids[i], ids[j]) for i, j in inst.added_edges)
     for a_, b_ in added:
@@ -208,35 +211,53 @@ def _plant_gadget(b: _Builder, node_at: dict[Point, int], cp: Point) -> GadgetIn
     return GadgetInstance(vs, ws, center, added)
 
 
-def _apply_parity_detour(b: _Builder, path: list[int], e: Edge):
-    """Step 4: bend one straight horizontal unit edge of path, the step-2
-    path of e, through an apex.
+def _detour_site(b: _Builder, path: list[int]) -> tuple[int, int] | None:
+    """The parity detour site of a step-2 path: its left and right vertex,
+    or None when the path has none.
 
     Site rule: six consecutive path vertices on one mesh row, all at integer
     mesh crosses with degree at most 2, the detour applied to the middle
     edge.  This is stricter than requiring low degrees alone, which would
     admit sites one unit from a crossing chain or a route corner where the
-    apex would land within distance 1 of a non-neighbor.
+    apex would land within distance 1 of a non-neighbor.  The site whose
+    left vertex has the least (x, y), then the least ids, is taken.  One
+    pass keeps the length of the current run of such vertices, in unit
+    steps one way along a row; a run of six or more ending at index j
+    holds the six from j - 5.
     """
+    coords, adj = b.coords, b.adj
     candidates = []
-    for i in range(len(path) - 5):
-        window = path[i:i + 6]
-        pts = [b.coords[nid] for nid in window]
-        if any(p.xu % SCALE or p.yu % SCALE for p in pts):
+    run = 0
+    for j, nid in enumerate(path):
+        x, y = coords[nid]
+        if x % SCALE or y % SCALE or len(adj[nid]) > 2:
+            run = 0
             continue
-        if len({p.yu for p in pts}) != 1:
-            continue
-        dxs = {q.xu - p.xu for p, q in zip(pts, pts[1:])}
-        if dxs not in ({SCALE}, {-SCALE}):
-            continue
-        if any(len(b.adj[nid]) > 2 for nid in window):
-            continue
-        left, right = (window[2], window[3]) if pts[2].xu < pts[3].xu else (window[3], window[2])
-        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right))
+        if run and y == py and abs(x - px) == SCALE:
+            run = run + 1 if run == 1 or x - px == step else 2
+            step = x - px
+        else:
+            run = 1
+        px, py = x, y
+        if run >= 6:
+            left, right = path[j - 3], path[j - 2]
+            if step < 0:
+                left, right = right, left
+            candidates.append((coords[left], left, right))
     if not candidates:
-        raise ConstructionError(f"no parity detour site on edge {e}")
+        return None
     _, left, right = min(candidates)
-    xl, yl = b.coords[left].xu, b.coords[left].yu
+    return left, right
+
+
+def _apply_parity_detour(b: _Builder, path: list[int], e: Edge):
+    """Step 4: bend the _detour_site edge of path, the step-2 path of e,
+    through an apex."""
+    site = _detour_site(b, path)
+    if site is None:
+        raise ConstructionError(f"no parity detour site on edge {e}")
+    left, right = site
+    xl, yl = b.coords[left]
     b.coords[left] = Point(xl - _QUARTER, yl)
     b.coords[right] = Point(xl + SCALE + _QUARTER, yl)
     apex = b.new_node(Point(xl + _HALF, yl + _HALF),
@@ -249,21 +270,16 @@ def _apply_parity_detour(b: _Builder, path: list[int], e: Edge):
 def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, per_edge: dict[Edge, int],
               gadgets: list[GadgetInstance]) -> ReductionOutput:
     # canonical ids: originals keep 0..n-1, the rest ordered by coordinates
-    others = sorted((nid for nid in b.coords if nid >= g.n),
-                    key=lambda nid: (b.coords[nid].xu, b.coords[nid].yu))
-    remap = {v: v for v in range(g.n)}
-    for new_id, nid in enumerate(others, start=g.n):
+    # and, where equal, by creation
+    order = list(range(g.n)) + sorted(range(g.n, len(b.coords)), key=b.coords.__getitem__)
+    remap = [0] * len(order)
+    for new_id, nid in enumerate(order):
         remap[nid] = new_id
-    n_total = g.n + len(others)
-    edges = {canon_edge(remap[a], remap[bb])
-             for a, nbrs in b.adj.items() for bb in nbrs}
-    result = Graph(n_total, frozenset(edges))
-    points = [None] * n_total
-    provenance: dict[int, Provenance] = {}
-    for nid, pt in b.coords.items():
-        points[remap[nid]] = pt
-        provenance[remap[nid]] = b.prov[nid]
-    model = ProximityModel(result, tuple(points))
+    edges = frozenset((ra, rc) if ra < rc else (rc, ra) for a, nbrs in b.adj.items()
+                      for c in nbrs if a < c for ra, rc in ((remap[a], remap[c]),))
+    result = Graph(len(order), edges)
+    provenance = dict(enumerate(map(b.prov.__getitem__, order)))
+    model = ProximityModel(result, tuple(map(b.coords.__getitem__, order)))
     t = sum(per_edge.values())
     k = len(gadgets)
     gadgets = [GadgetInstance(tuple(remap[v] for v in inst.v_ids),
@@ -339,37 +355,40 @@ def bisection_double(r: "ReductionOutput | ProximityModel") -> ProximityModel:
 def to_json(r: "ReductionOutput | ProximityModel") -> str:
     """Deterministic JSON: integer 1/20-unit coordinates, sorted structures.
 
+    The text is written directly, not through a dict, and must match
+    json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    byte for byte: keys in sorted order, no spaces, and each vertex record
+    {"id", "origin", "role", "x", "y"}, whose "origin" and "role" part is
+    formatted once per Provenance object (reduce shares one per edge).
+
     A bare model is written as its own source with k = t = 0 and every
     vertex original."""
     if isinstance(r, ReductionOutput):
         model, source, k, t = r.model, r.source, r.k, r.t
-        provenance, per_edge = r.provenance, r.per_edge_subdivisions
+        provs = map(r.provenance.__getitem__, range(len(r.model.points)))
+        per_edge = r.per_edge_subdivisions
     else:
         model, source, k, t = r, r.graph, 0, 0
-        provenance = {v: Provenance(ROLE_ORIGINAL) for v in range(r.graph.n)}
+        provs = repeat(Provenance(ROLE_ORIGINAL))
         per_edge = {}
+    parts: dict[int, str] = {}  # by id(): hashing a Provenance would cost more
     vertices = []
-    for vid, pt in enumerate(model.points):
-        prov = provenance[vid]
-        origin = None
-        if prov.edge is not None:
-            origin = list(prov.edge)
-        elif prov.crossing is not None:
-            origin = list(prov.crossing)
-        vertices.append({"id": vid, "x": pt.xu, "y": pt.yu,
-                         "role": prov.role, "origin": origin})
-    payload = {
-        "scale": SCALE,
-        "vertices": vertices,
-        "edges": [list(e) for e in model.graph.sorted_edges()],
-        "k": k,
-        "t": t,
-        "per_edge_subdivisions": [[list(e), cnt] for e, cnt
-                                  in sorted(per_edge.items())],
-        "source": {"n": source.n,
-                   "edges": [list(e) for e in source.sorted_edges()]},
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    for vid, (x, y), prov in zip(count(), model.points, provs):
+        part = parts.get(id(prov))
+        if part is None:
+            origin = prov.edge if prov.edge is not None else prov.crossing
+            part = parts[id(prov)] = json.dumps(
+                {"origin": origin, "role": prov.role}, sort_keys=True, separators=(",", ":"))[1:-1]
+        vertices.append(f'{{"id":{vid},{part},"x":{x},"y":{y}}}')
+    subdivisions = json.dumps(sorted(per_edge.items()), separators=(",", ":"))
+    return (f'{{"edges":{_edge_list(model.graph)},"k":{k},'
+            f'"per_edge_subdivisions":{subdivisions},"scale":{SCALE},'
+            f'"source":{{"edges":{_edge_list(source)},"n":{source.n}}},'
+            f'"t":{t},"vertices":[{",".join(vertices)}]}}\n')
+
+
+def _edge_list(g: Graph) -> str:
+    return f"[{','.join(f'[{u},{v}]' for u, v in g.sorted_edges())}]"
 
 
 @dataclass

@@ -19,7 +19,7 @@ from itertools import combinations, repeat
 from operator import add, sub
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
-from .graph_core import Cut, Graph, adjacency, canon_edge
+from .graph_core import Cut, Graph, canon_edge
 
 DEFAULT_BRUTE_LIMIT = 26
 # A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
@@ -213,7 +213,10 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     n = g.n
     if n == 0:
         return TreeDecomposition([frozenset()], [])
-    adj = adjacency(g)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
 
     def key(v: int) -> tuple[int, int, int]:
         nbrs = adj[v]
@@ -232,44 +235,44 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     pushed = list(keys)
     heap = list(keys)
     heapq.heapify(heap)
-    eliminated = [False] * n
-    order: list[int] = []
-    elim_index: dict[int, int] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    elim_index = [-1] * n  # position in the elimination order
     bags: list[frozenset[int]] = []
     bag_neighbors: list[set[int]] = []
-    while len(order) < n:
-        entry = heapq.heappop(heap)
+    while len(bags) < n:
+        entry = heappop(heap)
         v = entry[2]
-        if eliminated[v]:
+        if elim_index[v] >= 0:
             continue
         current = keys[v]
         if current is None:
             current = keys[v] = key(v)
-        if current != entry:
+        if current is not entry and current != entry:
             if current != pushed[v]:
                 pushed[v] = current
-                heapq.heappush(heap, current)
+                heappush(heap, current)
             continue
-        elim_index[v] = len(order)
-        order.append(v)
-        eliminated[v] = True
+        elim_index[v] = len(bags)
         nbrs = adj[v]  # no longer changes: v has left every other set
         bag_neighbors.append(nbrs)
-        for a in nbrs:
-            adj[a].discard(v)
         drop = None  # how far the fill of each neighbour fell, where known
         if len(nbrs) == 2:
             a, b = nbrs
             bags.append(frozenset((v, a, b)))
-            if b not in adj[a]:
-                common = adj[a] & adj[b]
+            adj_a, adj_b = adj[a], adj[b]
+            adj_a.discard(v)
+            adj_b.discard(v)
+            if b not in adj_a:
+                common = adj_a & adj_b
                 for w in common:
                     keys[w] = None
-                adj[a].add(b)
-                adj[b].add(a)
+                adj_a.add(b)
+                adj_b.add(a)
                 drop = len(common)
         else:
             bags.append(frozenset({v} | nbrs))
+            for a in nbrs:
+                adj[a].discard(v)
             for a, b in combinations(sorted(nbrs), 2):
                 if b not in adj[a]:
                     for w in adj[a] & adj[b]:
@@ -286,15 +289,18 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
                 continue
             if k != pushed[a]:
                 pushed[a] = k
-                heapq.heappush(heap, k)
+                heappush(heap, k)
 
     # Connect each bag to the bag of its earliest-eliminated remaining
     # neighbor; bags with no remaining neighbor attach to the next bag.
     tree = []
     for i in range(n - 1):
         nbrs = bag_neighbors[i]
-        if nbrs:
-            parent = min(elim_index[a] for a in nbrs)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            parent = elim_index[a] if elim_index[a] < elim_index[b] else elim_index[b]
+        elif nbrs:
+            parent = min(map(elim_index.__getitem__, nbrs))
         else:
             parent = i + 1
         tree.append((i, parent))

@@ -11,9 +11,10 @@ radius and the cell width doubled, until a pair turns up.  The first pair of
 equal points met ends the scan, and one linear pass then names the smallest
 such pair.
 
-The straight-line crossing search runs the same scan on the doubled edge
-midpoints, with a radius of twice the longest edge, so it finds every
-crossing on any model, valid or not.
+The straight-line crossing search runs the same scan on the doubled
+midpoints of the edges of length at most 1, within 2 units, and tests each
+longer edge against every edge, so it finds every crossing on any model,
+valid or not.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 from typing import NamedTuple
 
 from .errors import (DegenerateOverlapError, InputError, TheoremViolationError,
@@ -152,17 +152,23 @@ def straight_line_crossings(m: ProximityModel) -> list[CrossingWitness]:
     """Crossings of the straight-line drawing induced by the model points.
 
     Two edges that meet have midpoints at most half their summed lengths
-    apart, so candidate pairs come from the shared scan of the doubled
-    midpoints within twice the longest edge; this holds on any model, valid
-    or not.  Collinear overlaps are reported as witnesses.
+    apart, so pairs of edges of length at most 1 come from the shared scan
+    of their doubled midpoints within 2 units.  Each longer edge, which only
+    an invalid model has, is tested against every other edge, so one long
+    edge costs one pass over the edges.  This holds on any model, valid or
+    not.  Collinear overlaps are reported as witnesses.
     """
     pts = m.points
     edges = m.graph.sorted_edges()
     segs = [Segment.make(pts[u], pts[v]) for u, v in edges]
-    mids = [Point(a.xu + b.xu, a.yu + b.yu) for a, b in segs]  # doubled, exact
-    longest = max((dist2_units(a, b) for a, b in segs), default=0)
+    short = [i for i, (a, b) in enumerate(segs) if dist2_units(a, b) <= ONE_DIST2_UNITS]
+    mids = [Point(a.xu + b.xu, a.yu + b.yu) for a, b in map(segs.__getitem__, short)]  # doubled
+    pairs = [(short[a], short[b]) for _, a, b in pairs_within(mids, 2 * SCALE)]
+    long_ = set(range(len(segs))).difference(short)
+    pairs += [(min(i, j), max(i, j)) for i in long_ for j in range(len(segs))
+              if j not in long_ or j > i]  # a pair of long edges once
     witnesses = []
-    for _, i, j in pairs_within(mids, 2 * isqrt(longest) + 2):
+    for i, j in pairs:
         try:
             p = segments_properly_cross(segs[i], segs[j])
             if p is None:

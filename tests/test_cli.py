@@ -5,10 +5,13 @@ import io
 import json
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import udgcut
 from udgcut import errors
 from udgcut.cli import build_parser, main, model_svg
 from udgcut.gadget import h_model
@@ -207,8 +210,15 @@ def test_missing_file_exits_2():
     assert main(["reduce", "--in", "/nonexistent/file.txt"]) == 2
 
 
-def test_config_invariants_enforced(tmp_path, k5_file, capsys):
+def test_config_invariants_enforced(tmp_path, k5_file, capsys, monkeypatch):
     assert main(["reduce", "--in", k5_file, "--out", k5_file]) == 2
+    capsys.readouterr()
+    # the same file named two ways is still one path, and stays unchanged
+    before = Path(k5_file).read_text()
+    monkeypatch.chdir(tmp_path)
+    assert main(["reduce", "--in", "k5.txt", "--out", "./k5.txt"]) == 2
+    assert main(["reduce", "--in", "k5.txt", "--svg", str(tmp_path / "k5.txt")]) == 2
+    assert Path(k5_file).read_text() == before
     capsys.readouterr()
     # the model JSON and the SVG cannot share stdout
     for out in ([], ["--out", "-"]):
@@ -490,3 +500,14 @@ def test_readme_usage_names_exactly_the_parser_options():
                       if option.startswith("--") and option != "--help"}
                for name, sub in subparsers.choices.items()}
     assert _readme_usage_options() == defined
+
+
+def test_importing_udgcut_loads_no_optional_dependency():
+    # udgcut has no runtime dependencies; a stray import of a test or
+    # benchmark tool would show in every command's start-up time and memory
+    src = str(Path(udgcut.__file__).resolve().parents[1])
+    probe = ("import sys, udgcut, udgcut.cli; "
+             "print(sorted({'numpy', 'networkx', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60).stdout
+    assert out == "[]\n"

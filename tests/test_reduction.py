@@ -10,22 +10,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import udgcut.reduction
 from udgcut.drawing import StandardReport
 from udgcut.errors import ConstructionError, InconsistencyError, InputError
 from udgcut.gadget import build_H, h_model
-from udgcut.geometry import Point, dist2
+from udgcut.geometry import SCALE, Point, dist2
 from udgcut.graph_core import (complete_graph, cycle_graph, graph,
                                path_graph, petersen_graph, random_graph)
 from udgcut.reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
-                              ROLE_SUBDIVISION, Provenance, _Builder, _path_points,
+                              ROLE_SUBDIVISION, _HALF, Provenance, _apply_parity_detour,
+                              _Builder, _detour_site, _path_points,
                               _plant_gadget, bisection_double,
                               load_output_json, recover_mc,
                               reduce, to_json, validate_reduction)
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
                             max_cut_bruteforce, max_cut_treewidth_dp)
-from udgcut.udg_model import precision2, validate_model
+from udgcut.udg_model import (ProximityModel, precision2, random_precise_model,
+                              validate_model)
 
 ALLOWED_EDGE_DIST2 = {Fraction(1), Fraction(1, 2), Fraction(73, 100),
                       Fraction(13, 16), Fraction(9, 16)}
@@ -351,3 +355,148 @@ def test_the_benchmark_finds_every_name_it_calls_on_udgcut():
     assert sorted(name for name in names if not hasattr(udgcut, name)) == []
     dp_parameters = inspect.signature(udgcut.max_cut_treewidth_dp).parameters
     assert {"td", "max_width"} <= dp_parameters.keys()
+
+
+def _site_by_windows(b, path):
+    """The detour site chosen by testing every six-vertex window: the
+    reference for _detour_site, None where the path has no site."""
+    candidates = []
+    for i in range(len(path) - 5):
+        window = path[i:i + 6]
+        pts = [b.coords[nid] for nid in window]
+        if any(p.xu % SCALE or p.yu % SCALE for p in pts):
+            continue
+        if len({p.yu for p in pts}) != 1:
+            continue
+        dxs = {q.xu - p.xu for p, q in zip(pts, pts[1:])}
+        if dxs not in ({SCALE}, {-SCALE}):
+            continue
+        if any(len(b.adj[nid]) > 2 for nid in window):
+            continue
+        left, right = (window[2], window[3]) if pts[2].xu < pts[3].xu else (window[3], window[2])
+        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right))
+    if not candidates:
+        return None
+    _, left, right = min(candidates)
+    return left, right
+
+
+def _builder_path(points, degree3=()):
+    """A _Builder holding one path through points; the path vertex at each
+    index in degree3 gets one more neighbour, a pendant at its own point."""
+    b = _Builder()
+    path = [b.new_node(pt, Provenance(ROLE_SUBDIVISION)) for pt in points]
+    for a, c in zip(path, path[1:]):
+        b.add_edge(a, c)
+    for i in degree3:
+        b.add_edge(path[i], b.new_node(points[i], Provenance(ROLE_SUBDIVISION)))
+    return b, path
+
+
+def _assert_detour_site_matches_the_windows(b, path):
+    site = _detour_site(b, path)
+    assert site == _site_by_windows(b, path)
+    if site is None:
+        with pytest.raises(ConstructionError, match="no parity detour site on edge"):
+            _apply_parity_detour(b, path, (0, 1))
+
+
+_STEPS = [(SCALE, 0), (-SCALE, 0), (0, SCALE), (0, -SCALE),
+          (_HALF, _HALF), (_HALF, -_HALF), (-_HALF, _HALF), (-_HALF, -_HALF)]
+
+
+@st.composite
+def _detour_paths(draw):
+    # legs of unit steps along rows and columns, and half-unit diagonal
+    # steps onto and off the mesh, from a mesh or a half-unit start
+    x = draw(st.integers(-3, 3)) * SCALE + draw(st.sampled_from([0, 0, _HALF]))
+    y = draw(st.integers(-3, 3)) * SCALE + draw(st.sampled_from([0, 0, _HALF]))
+    points = [Point(x, y)]
+    for _ in range(draw(st.integers(0, 6))):
+        dx, dy = draw(st.sampled_from(_STEPS))
+        for _ in range(draw(st.integers(1, 7))):
+            x, y = x + dx, y + dy
+            points.append(Point(x, y))
+    degree3 = draw(st.lists(st.integers(0, len(points) - 1), max_size=3))
+    return _builder_path(points, degree3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_detour_paths())
+def test_detour_site_matches_the_six_vertex_windows(case):
+    _assert_detour_site_matches_the_windows(*case)
+
+
+def _row(x0, length, step=1, y=0):
+    return [Point.mesh(x0 + step * i, y) for i in range(length)]
+
+
+@pytest.mark.parametrize("points, degree3, has_site", [
+    (_row(0, 5), (), False),                        # a run of exactly 5
+    (_row(0, 6), (), True),                         # a run of exactly 6
+    (_row(0, 6, step=-1), (), True),                # the same, walked west
+    (_row(0, 6), (1,), False),                      # a vertex of degree 3
+    (_row(0, 7), (0, 0), True),                     # an end of degree 3, 6 after it
+    (_row(0, 3) + _row(3, 3, y=1), (), False),      # a corner between rows
+    (_row(0, 5) + [Point(90, 10)] + _row(5, 5), (), False),  # a half-unit point
+    ([Point.mesh(0, y) for y in range(8)], (), False),       # a column
+    (_row(0, 4) + _row(2, 4, step=-1, y=1) + _row(0, 7, y=2), (3, 5), True),
+])
+def test_detour_site_on_hand_built_paths(points, degree3, has_site):
+    b, path = _builder_path(points, degree3)
+    assert (_detour_site(b, path) is not None) == has_site
+    _assert_detour_site_matches_the_windows(b, path)
+
+
+def _to_json_by_dumps(r):
+    """to_json as a dict dumped with sorted keys: the reference for the
+    text to_json writes directly."""
+    if isinstance(r, udgcut.reduction.ReductionOutput):
+        model, source, k, t = r.model, r.source, r.k, r.t
+        provenance, per_edge = r.provenance, r.per_edge_subdivisions
+    else:
+        model, source, k, t = r, r.graph, 0, 0
+        provenance = {v: Provenance(ROLE_ORIGINAL) for v in range(r.graph.n)}
+        per_edge = {}
+    vertices = []
+    for vid, pt in enumerate(model.points):
+        prov = provenance[vid]
+        origin = None
+        if prov.edge is not None:
+            origin = list(prov.edge)
+        elif prov.crossing is not None:
+            origin = list(prov.crossing)
+        vertices.append({"id": vid, "x": pt.xu, "y": pt.yu,
+                         "role": prov.role, "origin": origin})
+    payload = {
+        "scale": SCALE,
+        "vertices": vertices,
+        "edges": [list(e) for e in model.graph.sorted_edges()],
+        "k": k,
+        "t": t,
+        "per_edge_subdivisions": [[list(e), cnt] for e, cnt
+                                  in sorted(per_edge.items())],
+        "source": {"n": source.n,
+                   "edges": [list(e) for e in source.sorted_edges()]},
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_to_json_matches_json_dumps_on_bare_models():
+    h = h_model()
+    models = [h, ProximityModel(graph(0), ()), ProximityModel(graph(1), (Point(0, 0),)),
+              ProximityModel(h.graph, tuple(p.translate(-517, -303) for p in h.points))]
+    rng = random.Random(31)
+    models += [random_precise_model(rng, rng.randint(1, 20)) for _ in range(50)]
+    for m in models:
+        assert to_json(m) == _to_json_by_dumps(m)
+
+
+def test_to_json_matches_json_dumps_on_reduce_outputs():
+    rng = random.Random(37)
+    cases = [complete_graph(4), complete_graph(5), cycle_graph(5), petersen_graph()]
+    cases += [random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 1.0), 4)
+              for _ in range(40)]
+    for g in cases:
+        r = reduce(g)
+        assert to_json(r) == _to_json_by_dumps(r)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udgcut.udg_model
 from udgcut.errors import DegenerateOverlapError, InputError, UndefinedPrecisionError
 from udgcut.gadget import h_model
 from udgcut.geometry import (ONE_DIST2_UNITS, Point, Segment, dist2, dist2_units,
@@ -375,3 +376,25 @@ def test_planarity_verdict_rejects_an_invalid_model_with_a_far_crossing():
     assert [w.point for w in straight_line_crossings(m)] == [(1, 0)]
     with pytest.raises(InputError, match=r"missing=\[\] spurious=\[\(0, 1\)\]"):
         planarity_verdict(m)
+
+
+def test_one_long_edge_costs_one_pass_over_the_edges(monkeypatch):
+    # the C5 model plus one edge between its two extreme points, hundreds
+    # of units long: the midpoint scan alone would need a radius that long
+    m = reduce(cycle_graph(5)).model
+    pts = m.points
+    u, v = sorted((pts.index(min(pts)), pts.index(max(pts))))
+    bad = ProximityModel(Graph(m.graph.n, m.graph.edges | {(u, v)}), pts)
+    calls = 0
+    real = udgcut.udg_model.segments_properly_cross
+
+    def counting(s, t):
+        nonlocal calls
+        calls += 1
+        return real(s, t)
+
+    monkeypatch.setattr(udgcut.udg_model, "segments_properly_cross", counting)
+    found = straight_line_crossings(bad)
+    assert calls <= 4 * bad.graph.m
+    assert any((u, v) in (w.edge1, w.edge2) for w in found)
+    assert found == _crossings_by_all_pairs(bad)
