@@ -51,10 +51,10 @@ def _write_output(path: str | None, text: str):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def model_svg(model: ProximityModel, roles: dict[int, str] | None = None) -> str:
-    """SVG with one unit-diameter disk per vertex (radius 10 in 1/20 units)
-    and one line per edge; the y axis is flipped so y grows upward."""
-    roles = roles or {}
+def model_svg(model: ProximityModel, roles: list[str] | None = None) -> str:
+    """SVG with one unit-diameter disk per vertex (radius 10 in 1/20 units),
+    colored by roles[id], and one line per edge; y grows upward."""
+    roles = roles or [ROLE_ORIGINAL] * len(model.points)
     pts = model.points
     if pts:
         xs = [p.xu for p in pts]
@@ -74,7 +74,7 @@ def model_svg(model: ProximityModel, roles: dict[int, str] | None = None) -> str
             f'<line x1="{p.xu}" y1="{-p.yu}" x2="{q.xu}" y2="{-q.yu}" '
             f'stroke="#555555" stroke-width="2"/>')
     for i, p in enumerate(pts):
-        color = ROLE_COLORS.get(roles.get(i, ROLE_ORIGINAL), "#000000")
+        color = ROLE_COLORS.get(roles[i], "#000000")
         parts.append(
             f'<circle cx="{p.xu}" cy="{-p.yu}" r="{SCALE // 2}" '
             f'fill="{color}" fill-opacity="0.35" stroke="{color}"/>')
@@ -93,8 +93,7 @@ def cmd_reduce(args) -> int:
     stdout_used = args.out in (None, "-") or args.svg == "-"
     (sys.stderr if stdout_used else sys.stdout).write(stats)
     if args.svg:
-        roles = {v: p.role for v, p in out.provenance.items()}
-        _write_output(args.svg, model_svg(out.model, roles))
+        _write_output(args.svg, model_svg(out.model, [p.role for p in out.provenance]))
     return 0
 
 

@@ -43,14 +43,6 @@ class Point(NamedTuple):
             raise InputError(f"coordinates ({x}, {y}) are not multiples of 1/{SCALE}")
         return cls(int(xu), int(yu))
 
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.xu, SCALE)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.yu, SCALE)
-
     def translate(self, dxu: int, dyu: int) -> "Point":
         return Point(self.xu + dxu, self.yu + dyu)
 

@@ -16,6 +16,10 @@ Steps, in construction order:
   4. per original edge with an odd subdivision count, bend one straight
      horizontal unit edge into a two-edge detour through a fresh apex,
      restoring even parity.
+
+U(G) is built in three lists indexed by vertex id: points, provenance and
+adjacency sets.  Ids are handed out in creation order, G's vertices first;
+one renumbering at the end keeps 0..n-1 and orders the rest by point.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 
-from .drawing import MeshDrawing, crossings, mesh_draw, standardize, validate_drawing, validate_standard
+from .drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
-from .gadget import W_OFFSETS, GadgetInstance, build_H, construct_H_on
+from .gadget import GadgetInstance, build_H, construct_H_on, h_model
 from .geometry import SCALE, Point
 from .graph_core import Edge, Graph, canon_edge, disjoint_union, graph
 from .udg_model import ProximityModel, precision2, validate_model
@@ -55,10 +59,9 @@ class ReductionOutput:
     model: ProximityModel
     k: int
     t: int
-    provenance: dict[int, Provenance]
+    provenance: list[Provenance]  # by vertex id
     per_edge_subdivisions: dict[Edge, int]
     gadgets: list[GadgetInstance]
-    drawing: MeshDrawing
 
 
 def _route_mesh_points(route) -> list[Point]:
@@ -72,32 +75,6 @@ def _route_mesh_points(route) -> list[Point]:
         for s in range(1, steps + 1):
             pts.append(Point(p.xu + dx * s * SCALE, p.yu + dy * s * SCALE))
     return pts
-
-
-class _Builder:
-    """Vertex/edge store; ids are allocated in creation order."""
-
-    def __init__(self):
-        self.coords: dict[int, Point] = {}
-        self.adj: dict[int, set[int]] = {}
-        self.prov: dict[int, Provenance] = {}
-
-    def new_node(self, pt: Point, prov: Provenance) -> int:
-        nid = len(self.coords)
-        self.coords[nid] = pt
-        self.adj[nid] = set()
-        self.prov[nid] = prov
-        return nid
-
-    def add_edge(self, a: int, b: int):
-        if a == b or b in self.adj[a]:
-            raise ConstructionError(f"bad edge insertion ({a}, {b})")
-        self.adj[a].add(b)
-        self.adj[b].add(a)
-
-    def remove_edge(self, a: int, b: int):
-        self.adj[a].discard(b)
-        self.adj[b].discard(a)
 
 
 def reduce(g: Graph) -> ReductionOutput:
@@ -117,35 +94,67 @@ def reduce(g: Graph) -> ReductionOutput:
         sites[cr.horizontal_edge][cr.point] = True
         sites[cr.vertical_edge][cr.point] = False
 
-    # Provenance is frozen: the vertices of one edge or one gadget share one
-    b = _Builder()
-    original = Provenance(ROLE_ORIGINAL)
-    for v in range(g.n):
-        b.new_node(drawn.placement[v], original)
+    points = [drawn.placement[v] for v in range(g.n)]
+    prov = [Provenance(ROLE_ORIGINAL)] * g.n
+    adj: list[set[int]] = [set() for _ in range(g.n)]
 
     # Step 2: every path in its final form; its edges are consecutive pairs.
     paths: dict[Edge, list[int]] = {}
-    per_edge: dict[Edge, int] = {}  # subdivision vertices on each edge
     for e in sorted(drawn.routes):
         inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
-        prov = Provenance(ROLE_SUBDIVISION, edge=e)
-        path = [e[0]] + [b.new_node(pt, prov) for pt in inner] + [e[1]]
-        for a_, b_ in zip(path, path[1:]):
-            b.add_edge(a_, b_)
+        path = [e[0], *_add_vertices(points, prov, adj, inner,
+                                     Provenance(ROLE_SUBDIVISION, edge=e)), e[1]]
+        for a, c in zip(path, path[1:]):
+            _link(adj, a, c)
         paths[e] = path
-        per_edge[e] = len(inner)
 
     # Step 3: the gadget on every crossing.
-    node_at = {pt: nid for nid, pt in b.coords.items()}
-    gadgets = [_plant_gadget(b, node_at, cr.point) for cr in xreport]
+    node_at = {pt: nid for nid, pt in enumerate(points)}
+    planted = [_plant_gadget(points, prov, adj, node_at, cr.point) for cr in xreport]
 
     # Step 4: restore even parity per original edge.
-    for e in sorted(paths):
-        if per_edge[e] % 2 == 1:
-            _apply_parity_detour(b, paths[e], e)
+    per_edge: dict[Edge, int] = {}  # subdivision vertices on each edge
+    for e, path in paths.items():
+        per_edge[e] = len(path) - 2
+        if per_edge[e] % 2:
+            _apply_parity_detour(points, prov, adj, path, e)
             per_edge[e] += 1
 
-    return _finalize(g, drawn, b, per_edge, gadgets)
+    # the renumbering; the sort is stable, so equal points keep creation order
+    order = list(range(g.n)) + sorted(range(g.n, len(points)), key=points.__getitem__)
+    remap = [0] * len(order)
+    for new_id, nid in enumerate(order):
+        remap[nid] = new_id
+    edges = frozenset((ra, remap[c]) for ra, a in enumerate(order) for c in adj[a]
+                      if ra < remap[c])
+    result = Graph(len(order), edges)
+    model = ProximityModel(result, tuple(map(points.__getitem__, order)))
+    gadgets = []
+    for ids, center, added in planted:
+        new = [remap[nid] for nid in ids]
+        gadgets.append(GadgetInstance(tuple(new[:4]), tuple(new[4:]), center,
+                                      tuple(canon_edge(new[i], new[j]) for i, j in added)))
+    out = ReductionOutput(g, result, model, len(gadgets), sum(per_edge.values()),
+                          list(map(prov.__getitem__, order)), per_edge, gadgets)
+    validate_reduction(out)
+    return out
+
+
+def _add_vertices(points: list[Point], prov: list[Provenance], adj: list[set[int]],
+                  pts: list[Point], p: Provenance) -> range:
+    """The ids of new vertices at pts, all sharing p (it is frozen)."""
+    ids = range(len(points), len(points) + len(pts))
+    points += pts
+    prov += [p] * len(pts)
+    adj += [set() for _ in pts]
+    return ids
+
+
+def _link(adj: list[set[int]], a: int, b: int):
+    if a == b or b in adj[a]:
+        raise ConstructionError(f"bad edge insertion ({a}, {b})")
+    adj[a].add(b)
+    adj[b].add(a)
 
 
 def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
@@ -177,41 +186,37 @@ def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
     return [q for j, p in enumerate(pts) for q in swap.get(j, (p,))]
 
 
-def _plant_gadget(b: _Builder, node_at: dict[Point, int], cp: Point) -> GadgetInstance:
-    """Step 3: plant H on the two path edges through crossing cp.
-
-    Roles follow the model layout around center (x, y + 1/2): v0 right,
-    v1 top, v2 left, v3 bottom.  construct_H_on runs on the subgraph induced
-    by the four cycle vertices, relabelled 0..3: its preconditions only
-    concern those vertices.
-    """
-    x, y = cp.xu, cp.yu
-
-    def site(pt: Point) -> int:
+def _plant_gadget(points: list[Point], prov: list[Provenance], adj: list[set[int]],
+                  node_at: dict[Point, int], cp: Point
+                  ) -> tuple[tuple[int, ...], Point, tuple[Edge, ...]]:
+    """Step 3: plant H on the two path edges through crossing cp, at the
+    points of the gadget model centered half a unit above cp: v0..v3 are
+    path vertices, w0..w3 new ones.  construct_H_on runs on the subgraph
+    induced by v0..v3, relabelled 0..3.  Returns the ids of v0..w3, the
+    center, and the added edges as index pairs into those ids."""
+    center = cp.translate(0, _HALF)
+    model_points = h_model(center).points
+    vs = []
+    for pt in model_points[:4]:
         nid = node_at.get(pt)
         if nid is None:
             raise ConstructionError(f"expected a vertex at {pt} near crossing {cp}")
-        return nid
-
-    vs = (site(Point(x + _HALF, y + _HALF)), site(Point(x, y + SCALE)),
-          site(Point(x - _HALF, y + _HALF)), site(cp))
+        vs.append(nid)
     local = Graph(4, frozenset((i, j) for i in range(4) for j in range(i + 1, 4)
-                               if vs[j] in b.adj[vs[i]]))
+                               if vs[j] in adj[vs[i]]))
     try:
         _, inst = construct_H_on(local, (0, 2), (1, 3))
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
-    center = Point(x, y + _HALF)
-    prov = Provenance(ROLE_GADGET_W, crossing=(x, y))
-    ws = tuple(b.new_node(center.translate(dx, dy), prov) for dx, dy in W_OFFSETS)
-    ids = vs + ws
-    added = tuple(canon_edge(ids[i], ids[j]) for i, j in inst.added_edges)
-    for a_, b_ in added:
-        b.add_edge(a_, b_)
-    return GadgetInstance(vs, ws, center, added)
+    ids = (*vs, *_add_vertices(points, prov, adj, model_points[4:],
+                               Provenance(ROLE_GADGET_W, crossing=(cp.xu, cp.yu))))
+    for i, j in inst.added_edges:
+        _link(adj, ids[i], ids[j])
+    return ids, center, inst.added_edges
 
 
-def _detour_site(b: _Builder, path: list[int]) -> tuple[int, int] | None:
+def _detour_site(points: list[Point], adj: list[set[int]], path: list[int]
+                 ) -> tuple[int, int] | None:
     """The parity detour site of a step-2 path: its left and right vertex,
     or None when the path has none.
 
@@ -225,11 +230,10 @@ def _detour_site(b: _Builder, path: list[int]) -> tuple[int, int] | None:
     steps one way along a row; a run of six or more ending at index j
     holds the six from j - 5.
     """
-    coords, adj = b.coords, b.adj
     candidates = []
     run = 0
     for j, nid in enumerate(path):
-        x, y = coords[nid]
+        x, y = points[nid]
         if x % SCALE or y % SCALE or len(adj[nid]) > 2:
             run = 0
             continue
@@ -243,55 +247,30 @@ def _detour_site(b: _Builder, path: list[int]) -> tuple[int, int] | None:
             left, right = path[j - 3], path[j - 2]
             if step < 0:
                 left, right = right, left
-            candidates.append((coords[left], left, right))
+            candidates.append((points[left], left, right))
     if not candidates:
         return None
     _, left, right = min(candidates)
     return left, right
 
 
-def _apply_parity_detour(b: _Builder, path: list[int], e: Edge):
+def _apply_parity_detour(points: list[Point], prov: list[Provenance],
+                         adj: list[set[int]], path: list[int], e: Edge):
     """Step 4: bend the _detour_site edge of path, the step-2 path of e,
     through an apex."""
-    site = _detour_site(b, path)
+    site = _detour_site(points, adj, path)
     if site is None:
         raise ConstructionError(f"no parity detour site on edge {e}")
     left, right = site
-    xl, yl = b.coords[left]
-    b.coords[left] = Point(xl - _QUARTER, yl)
-    b.coords[right] = Point(xl + SCALE + _QUARTER, yl)
-    apex = b.new_node(Point(xl + _HALF, yl + _HALF),
-                      Provenance(ROLE_DETOUR_APEX, edge=e))
-    b.remove_edge(left, right)
-    b.add_edge(apex, left)
-    b.add_edge(apex, right)
-
-
-def _finalize(g: Graph, drawn: MeshDrawing, b: _Builder, per_edge: dict[Edge, int],
-              gadgets: list[GadgetInstance]) -> ReductionOutput:
-    # canonical ids: originals keep 0..n-1, the rest ordered by coordinates
-    # and, where equal, by creation
-    order = list(range(g.n)) + sorted(range(g.n, len(b.coords)), key=b.coords.__getitem__)
-    remap = [0] * len(order)
-    for new_id, nid in enumerate(order):
-        remap[nid] = new_id
-    edges = frozenset((ra, rc) if ra < rc else (rc, ra) for a, nbrs in b.adj.items()
-                      for c in nbrs if a < c for ra, rc in ((remap[a], remap[c]),))
-    result = Graph(len(order), edges)
-    provenance = dict(enumerate(map(b.prov.__getitem__, order)))
-    model = ProximityModel(result, tuple(map(b.coords.__getitem__, order)))
-    t = sum(per_edge.values())
-    k = len(gadgets)
-    gadgets = [GadgetInstance(tuple(remap[v] for v in inst.v_ids),
-                              tuple(remap[w] for w in inst.w_ids),
-                              inst.center,
-                              tuple(canon_edge(remap[a], remap[bb])
-                                    for a, bb in inst.added_edges))
-               for inst in gadgets]
-    out = ReductionOutput(g, result, model, k, t, provenance, per_edge,
-                          gadgets, drawn)
-    validate_reduction(out)
-    return out
+    xl, yl = points[left]
+    points[left] = Point(xl - _QUARTER, yl)
+    points[right] = Point(xl + SCALE + _QUARTER, yl)
+    apex, = _add_vertices(points, prov, adj, [Point(xl + _HALF, yl + _HALF)],
+                          Provenance(ROLE_DETOUR_APEX, edge=e))
+    adj[left].discard(right)
+    adj[right].discard(left)
+    _link(adj, apex, left)
+    _link(adj, apex, right)
 
 
 def validate_reduction(r: ReductionOutput):
@@ -365,7 +344,7 @@ def to_json(r: "ReductionOutput | ProximityModel") -> str:
     vertex original."""
     if isinstance(r, ReductionOutput):
         model, source, k, t = r.model, r.source, r.k, r.t
-        provs = map(r.provenance.__getitem__, range(len(r.model.points)))
+        provs = r.provenance
         per_edge = r.per_edge_subdivisions
     else:
         model, source, k, t = r, r.graph, 0, 0
@@ -396,7 +375,7 @@ class LoadedOutput:
     model: ProximityModel
     k: int
     t: int
-    roles: dict[int, str]
+    roles: list[str]  # by vertex id
 
 
 def _json_int(value, what: str) -> int:
@@ -418,7 +397,7 @@ def load_output_json(text: str) -> LoadedOutput:
             raise InputError(f"unsupported scale {payload.get('scale')}")
         n = len(payload["vertices"])
         points = [None] * n
-        roles = {}
+        roles = [ROLE_ORIGINAL] * n
         for rec in payload["vertices"]:
             vid = _json_int(rec["id"], "vertex id")
             if not 0 <= vid < n or points[vid] is not None:

@@ -2,6 +2,7 @@
 identity, parity bookkeeping, doubling, and the JSON contract."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import random
@@ -21,9 +22,9 @@ from udgcut.geometry import SCALE, Point, dist2
 from udgcut.graph_core import (complete_graph, cycle_graph, graph,
                                path_graph, petersen_graph, random_graph)
 from udgcut.reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
-                              ROLE_SUBDIVISION, _HALF, Provenance, _apply_parity_detour,
-                              _Builder, _detour_site, _path_points,
-                              _plant_gadget, bisection_double,
+                              ROLE_SUBDIVISION, _HALF, Provenance, _add_vertices,
+                              _apply_parity_detour, _detour_site, _link,
+                              _path_points, _plant_gadget, bisection_double,
                               load_output_json, recover_mc,
                               reduce, to_json, validate_reduction)
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
@@ -249,6 +250,40 @@ def test_validate_reduction_accepts_all_outputs():
         validate_reduction(reduce(g))
 
 
+def _k5_with_one_fault(fault):
+    r = reduce(complete_graph(5))
+    e = min(r.per_edge_subdivisions)
+    inst = r.gadgets[0]
+    faults = {
+        "missing edge": dict(model=ProximityModel(
+            graph(r.result.n, r.result.edges - {min(r.result.edges)}), r.model.points)),
+        "odd count": dict(per_edge_subdivisions={
+            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 1}),
+        "close points": dict(model=ProximityModel(
+            graph(2, [(0, 1)]), (Point(0, 0), Point(_HALF, 0)))),
+        "loose points": dict(model=reduce(graph(2, [(0, 1)])).model),
+        "t": dict(t=r.t + 2),
+        "k": dict(k=r.k + 1),
+        "rotated gadget": dict(gadgets=[dataclasses.replace(
+            inst, v_ids=inst.v_ids[1:] + inst.v_ids[:1])] + r.gadgets[1:]),
+    }
+    return dataclasses.replace(r, **faults[fault])
+
+
+@pytest.mark.parametrize("fault, words", [
+    ("missing edge", "model invalid: missing="),
+    ("odd count", "odd per-edge subdivision count"),
+    ("close points", "precision2 1/4 below 1/2"),
+    ("loose points", "not tight despite k >= 1"),
+    ("t", "t does not match per-edge counts"),
+    ("k", "k does not match gadget instances"),
+    ("rotated gadget", "is not a copy of H"),
+])
+def test_validate_reduction_rejects_each_fault(fault, words):
+    with pytest.raises(ConstructionError, match=words):
+        validate_reduction(_k5_with_one_fault(fault))
+
+
 def test_random_identity_suite():
     rng = random.Random(101)
     for _ in range(6):
@@ -323,12 +358,12 @@ def test_site_preconditions_name_the_crossing(corners, crossings, words):
 
 def test_a_missing_site_vertex_names_the_crossing():
     cp = Point.mesh(5, 0)
-    b = _Builder()
-    for pt in (Point(110, 10), Point(100, 20), Point(90, 10)):   # none at cp itself
-        b.new_node(pt, Provenance(ROLE_SUBDIVISION))
-    node_at = {pt: nid for nid, pt in b.coords.items()}
+    points = [Point(110, 10), Point(100, 20), Point(90, 10)]   # none at cp itself
+    prov = [Provenance(ROLE_SUBDIVISION)] * len(points)
+    adj = [set() for _ in points]
+    node_at = {pt: nid for nid, pt in enumerate(points)}
     with pytest.raises(ConstructionError, match=re.escape(f"near crossing {cp}")):
-        _plant_gadget(b, node_at, cp)
+        _plant_gadget(points, prov, adj, node_at, cp)
 
 
 def test_the_traced_benchmark_finds_every_callee_it_wraps():
@@ -357,13 +392,13 @@ def test_the_benchmark_finds_every_name_it_calls_on_udgcut():
     assert {"td", "max_width"} <= dp_parameters.keys()
 
 
-def _site_by_windows(b, path):
+def _site_by_windows(points, adj, path):
     """The detour site chosen by testing every six-vertex window: the
     reference for _detour_site, None where the path has no site."""
     candidates = []
     for i in range(len(path) - 5):
         window = path[i:i + 6]
-        pts = [b.coords[nid] for nid in window]
+        pts = [points[nid] for nid in window]
         if any(p.xu % SCALE or p.yu % SCALE for p in pts):
             continue
         if len({p.yu for p in pts}) != 1:
@@ -371,34 +406,36 @@ def _site_by_windows(b, path):
         dxs = {q.xu - p.xu for p, q in zip(pts, pts[1:])}
         if dxs not in ({SCALE}, {-SCALE}):
             continue
-        if any(len(b.adj[nid]) > 2 for nid in window):
+        if any(len(adj[nid]) > 2 for nid in window):
             continue
         left, right = (window[2], window[3]) if pts[2].xu < pts[3].xu else (window[3], window[2])
-        candidates.append(((b.coords[left].xu, b.coords[left].yu), left, right))
+        candidates.append(((points[left].xu, points[left].yu), left, right))
     if not candidates:
         return None
     _, left, right = min(candidates)
     return left, right
 
 
-def _builder_path(points, degree3=()):
-    """A _Builder holding one path through points; the path vertex at each
-    index in degree3 gets one more neighbour, a pendant at its own point."""
-    b = _Builder()
-    path = [b.new_node(pt, Provenance(ROLE_SUBDIVISION)) for pt in points]
+def _path_lists(pts, degree3=()):
+    """The point, provenance and adjacency lists of one path through pts,
+    and the path; the path vertex at each index in degree3 gets one more
+    neighbour, a pendant at its own point."""
+    points, prov, adj = [], [], []
+    prov_sub = Provenance(ROLE_SUBDIVISION)
+    path = list(_add_vertices(points, prov, adj, pts, prov_sub))
     for a, c in zip(path, path[1:]):
-        b.add_edge(a, c)
+        _link(adj, a, c)
     for i in degree3:
-        b.add_edge(path[i], b.new_node(points[i], Provenance(ROLE_SUBDIVISION)))
-    return b, path
+        _link(adj, path[i], *_add_vertices(points, prov, adj, [pts[i]], prov_sub))
+    return points, prov, adj, path
 
 
-def _assert_detour_site_matches_the_windows(b, path):
-    site = _detour_site(b, path)
-    assert site == _site_by_windows(b, path)
+def _assert_detour_site_matches_the_windows(points, prov, adj, path):
+    site = _detour_site(points, adj, path)
+    assert site == _site_by_windows(points, adj, path)
     if site is None:
         with pytest.raises(ConstructionError, match="no parity detour site on edge"):
-            _apply_parity_detour(b, path, (0, 1))
+            _apply_parity_detour(points, prov, adj, path, (0, 1))
 
 
 _STEPS = [(SCALE, 0), (-SCALE, 0), (0, SCALE), (0, -SCALE),
@@ -418,7 +455,7 @@ def _detour_paths(draw):
             x, y = x + dx, y + dy
             points.append(Point(x, y))
     degree3 = draw(st.lists(st.integers(0, len(points) - 1), max_size=3))
-    return _builder_path(points, degree3)
+    return _path_lists(points, degree3)
 
 
 @settings(max_examples=400, deadline=None)
@@ -443,9 +480,10 @@ def _row(x0, length, step=1, y=0):
     (_row(0, 4) + _row(2, 4, step=-1, y=1) + _row(0, 7, y=2), (3, 5), True),
 ])
 def test_detour_site_on_hand_built_paths(points, degree3, has_site):
-    b, path = _builder_path(points, degree3)
-    assert (_detour_site(b, path) is not None) == has_site
-    _assert_detour_site_matches_the_windows(b, path)
+    case = _path_lists(points, degree3)
+    points, _, adj, path = case
+    assert (_detour_site(points, adj, path) is not None) == has_site
+    _assert_detour_site_matches_the_windows(*case)
 
 
 def _to_json_by_dumps(r):
@@ -456,7 +494,7 @@ def _to_json_by_dumps(r):
         provenance, per_edge = r.provenance, r.per_edge_subdivisions
     else:
         model, source, k, t = r, r.graph, 0, 0
-        provenance = {v: Provenance(ROLE_ORIGINAL) for v in range(r.graph.n)}
+        provenance = [Provenance(ROLE_ORIGINAL)] * r.graph.n
         per_edge = {}
     vertices = []
     for vid, pt in enumerate(model.points):
