@@ -9,13 +9,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (ConstructionError, InconsistencyError, PreconditionError,
                      WidthLimitError)
 from .gadget import build_H, construct_H_on, h_model
-from .graph_core import (Graph, canon_edge, complete_graph, cycle_graph,
-                         format_graph_text, petersen_graph, random_graph,
-                         subdivide_edge_twice, subdivide_randomly)
+from .graph_core import (Graph, complete_graph, cycle_graph, format_graph_text,
+                         petersen_graph, random_graph, subdivide_edge_twice,
+                         subdivide_randomly)
 from .reduction import recover_mc, reduce
 from .solvers import max_cut_bruteforce, max_cut_treewidth_dp
 from .udg_model import precision2, random_precise_model, straight_line_crossings, validate_model
@@ -64,15 +65,12 @@ def _random_gadget_instance(rng: random.Random):
         n = rng.randint(4, 8)
         g = random_graph(rng, n, p=rng.uniform(0.2, 0.8), max_deg=4)
         pairs = []
-        edges = g.sorted_edges()
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
-                if set(e1) & set(e2):
-                    continue
-                cross = [canon_edge(a, b) for a in e1 for b in e2]
-                if not any(c in g.edges for c in cross):
-                    pairs.append((e1, e2))
+        for e1, e2 in combinations(g.sorted_edges(), 2):
+            try:
+                construct_H_on(g, e1, e2)
+            except PreconditionError:
+                continue
+            pairs.append((e1, e2))
         if pairs:
             return g, rng.choice(pairs)
 
@@ -96,16 +94,17 @@ def check_gadget_negative_control() -> CheckResult:
     and the construction rejects the instance."""
     name = "gadget negative control (K4)"
     k4 = complete_graph(4)
+    data = {"graph": format_graph_text(k4), "edges": [(0, 2), (1, 3)]}
     try:
         construct_H_on(k4, (0, 2), (1, 3))
-        return _fail(name, "precondition violation not rejected", {})
+        return _fail(name, "precondition violation not rejected", data)
     except PreconditionError:
         pass
     forced = build_H()  # the would-be result: K4 plus the four apexes
     mc_forced = max_cut_bruteforce(forced)[0]
     expected_if_identity_held = max_cut_bruteforce(k4)[0] + 8
     if mc_forced == expected_if_identity_held:
-        return _fail(name, "identity unexpectedly held on K4", {})
+        return _fail(name, "identity unexpectedly held on K4", data)
     return CheckResult(
         name, True,
         f"rejected; forcing it gives mc {mc_forced} != {expected_if_identity_held}")
@@ -150,7 +149,8 @@ def check_precise_models_planar(seed: int) -> CheckResult:
                          {"points": [(p.xu, p.yu) for p in m.points]})
     hm = h_model()
     if precision2(hm) != Fraction(1, 2) or not straight_line_crossings(hm):
-        return _fail(name, "boundary witness failed", {})
+        return _fail(name, "boundary witness failed",
+                     {"points": [(p.xu, p.yu) for p in hm.points]})
     return CheckResult(name, True, "100 random models; boundary witness crossed")
 
 
@@ -178,14 +178,15 @@ def check_h_exactness() -> CheckResult:
     """The gadget model realizes exactly the gadget graph, 28 pairs checked."""
     name = "gadget model exactness"
     m = h_model()
+    data = {"graph": format_graph_text(m.graph), "points": [(p.xu, p.yu) for p in m.points]}
     report = validate_model(m)
     if not report.ok:
         return _fail(name, "adjacency mismatch",
-                     {"missing": report.missing_edges, "spurious": report.spurious_edges})
+                     {**data, "missing": report.missing_edges, "spurious": report.spurious_edges})
     if precision2(m) != Fraction(1, 2):
-        return _fail(name, f"precision2 {precision2(m)} != 1/2", {})
+        return _fail(name, f"precision2 {precision2(m)} != 1/2", data)
     if max_cut_bruteforce(build_H())[0] != 10:
-        return _fail(name, "mc(H) != 10", {})
+        return _fail(name, "mc(H) != 10", data)
     return CheckResult(name, True, "28 pairs, precision2 = 1/2, mc(H) = 10")
 
 

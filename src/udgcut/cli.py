@@ -16,16 +16,17 @@ from .certify import run_all
 from .errors import InputError, UdgcutError
 from .geometry import SCALE
 from .graph_core import Graph, parse_graph_text
-from .reduction import ROLE_ORIGINAL, load_output_json, reduce, to_json
+from .reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
+                        ROLE_SUBDIVISION, load_output_json, reduce, to_json)
 from .solvers import (DEFAULT_BRUTE_LIMIT, max_bisection_bruteforce,
                       max_cut_bruteforce, max_cut_treewidth_dp)
 from .udg_model import ProximityModel, require_valid_model
 
 ROLE_COLORS = {
-    "original": "#000000",
-    "subdivision": "#4682b4",
-    "gadget_w": "#dc143c",
-    "detour_apex": "#ff8c00",
+    ROLE_ORIGINAL: "#000000",
+    ROLE_SUBDIVISION: "#4682b4",
+    ROLE_GADGET_W: "#dc143c",
+    ROLE_DETOUR_APEX: "#ff8c00",
 }
 
 
@@ -51,10 +52,9 @@ def _write_output(path: str | None, text: str):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def model_svg(model: ProximityModel, roles: list[str] | None = None) -> str:
+def model_svg(model: ProximityModel, roles: list[str]) -> str:
     """SVG with one unit-diameter disk per vertex (radius 10 in 1/20 units),
     colored by roles[id], and one line per edge; y grows upward."""
-    roles = roles or [ROLE_ORIGINAL] * len(model.points)
     pts = model.points
     if pts:
         xs = [p.xu for p in pts]
@@ -89,11 +89,8 @@ def cmd_reduce(args) -> int:
     stats = (f"k={out.k} t={out.t} vertices={out.result.n} "
              f"edges={out.result.m}\n")
     _write_output(args.out, text)
-    # the stats line goes to stderr when the JSON or the SVG goes to stdout
-    stdout_used = args.out in (None, "-") or args.svg == "-"
-    (sys.stderr if stdout_used else sys.stdout).write(stats)
-    if args.svg:
-        _write_output(args.svg, model_svg(out.model, [p.role for p in out.provenance]))
+    # the stats line goes to stderr when the JSON goes to stdout
+    (sys.stderr if args.out in (None, "-") else sys.stdout).write(stats)
     return 0
 
 
@@ -151,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="compile a graph into a unit disk model")
     p_reduce.add_argument("--in", dest="input", help="graph file (default stdin)")
     p_reduce.add_argument("--out", help="model JSON output path (default stdout)")
-    p_reduce.add_argument("--svg", help="also render the model to this SVG path")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_solve = sub.add_parser("solve", help="exact max-cut / max-bisection")
@@ -173,12 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_config(args):
-    named = [getattr(args, name, None) for name in ("input", "out", "svg")]
+    named = [getattr(args, name, None) for name in ("input", "out")]
     paths = [os.path.realpath(p) for p in named if p and p != "-"]  # ./g.txt is g.txt
     if len(paths) != len(set(paths)):
         raise InputError("input and output paths must be distinct")
-    if getattr(args, "svg", None) == "-" and args.out in (None, "-"):
-        raise InputError("the model JSON and the SVG cannot both go to stdout")
 
 
 def main(argv: list[str] | None = None) -> int:

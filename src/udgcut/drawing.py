@@ -44,7 +44,6 @@ class MeshDrawing:
     graph: Graph
     placement: dict[int, Point]
     routes: dict[Edge, Route]
-    corridors: dict[Edge, tuple[str, str]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,6 @@ class Crossing:
     point: Point
     horizontal_edge: Edge
     vertical_edge: Edge
-
-
-def corridor_lines(p: Point, letter: str) -> tuple[int, int]:
-    """(row yu, col xu) of the corridor's two mesh lines for a vertex at p."""
-    dr, dc = CORRIDORS[letter]
-    return p.yu + dr * SCALE, p.xu + dc * SCALE
 
 
 def _segments(route: Route) -> list[tuple[Point, Point]]:
@@ -122,14 +115,12 @@ def mesh_draw(g: Graph) -> MeshDrawing:
         for rank, w in enumerate(sorted(adj[v])):
             letter[(v, w)] = _LETTERS[rank]
     routes: dict[Edge, Route] = {}
-    corridors: dict[Edge, tuple[str, str]] = {}
     for u, v in g.sorted_edges():
         src, dst = (u, v) if pos[u] < pos[v] else (v, u)
         built = _route(placement[src], placement[dst],
                        letter[(src, dst)], letter[(dst, src)])
         routes[(u, v)] = built if src == u else tuple(reversed(built))
-        corridors[(u, v)] = (letter[(u, v)], letter[(v, u)])
-    return MeshDrawing(g, placement, routes, corridors)
+    return MeshDrawing(g, placement, routes)
 
 
 def _route(pu: Point, pv: Point, s_letter: str, t_letter: str) -> Route:
@@ -371,7 +362,7 @@ def standardize(d: MeshDrawing) -> MeshDrawing:
 
     placement = {v: move(p) for v, p in d.placement.items()}
     routes = {e: tuple(move(p) for p in route) for e, route in d.routes.items()}
-    return MeshDrawing(d.graph, placement, routes, dict(d.corridors))
+    return MeshDrawing(d.graph, placement, routes)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .geometry import Point
-from .graph_core import Edge, Graph, canon_edge, graph
+from .graph_core import Graph, canon_edge, graph
 from .udg_model import ProximityModel
 
 # Model offsets in 1/20 units: v's at (+-1/2, 0), (0, +-1/2); w's at (+-4/5, +-4/5).
@@ -25,7 +25,6 @@ class GadgetInstance:
     v_ids: tuple[int, int, int, int]
     w_ids: tuple[int, int, int, int]
     center: Point | None
-    added_edges: tuple[Edge, ...]
 
 
 def build_H() -> Graph:
@@ -65,11 +64,6 @@ def construct_H_on(g: Graph, e1: tuple[int, int], e2: tuple[int, int]
             raise PreconditionError(
                 f"cycle edge ({a}, {b}) already present; the +8 identity "
                 f"requires it absent")
-    w = (g.n, g.n + 1, g.n + 2, g.n + 3)
-    vs = (v0, v1, v2, v3)
-    added = [canon_edge(a, b) for a, b in cycle]
-    for i in range(4):
-        added.append(canon_edge(w[i], vs[i]))
-        added.append(canon_edge(w[i], vs[(i + 1) % 4]))
-    result = Graph(g.n + 4, frozenset(set(g.edges) | set(added)))
-    return result, GadgetInstance(vs, w, None, tuple(added))
+    ids = (v0, v1, v2, v3, g.n, g.n + 1, g.n + 2, g.n + 3)
+    edges = g.edges | {canon_edge(ids[a], ids[b]) for a, b in build_H().edges}
+    return Graph(g.n + 4, edges), GadgetInstance(ids[:4], ids[4:], None)

@@ -27,13 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count
 
 from .drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model
 from .geometry import SCALE, Point
-from .graph_core import Edge, Graph, canon_edge, disjoint_union, graph
+from .graph_core import Edge, Graph, disjoint_union, graph
 from .udg_model import ProximityModel, precision2, validate_model
 
 ROLE_ORIGINAL = "original"
@@ -55,13 +55,25 @@ class Provenance:
 @dataclass
 class ReductionOutput:
     source: Graph
-    result: Graph
     model: ProximityModel
-    k: int
-    t: int
     provenance: list[Provenance]  # by vertex id
     per_edge_subdivisions: dict[Edge, int]
     gadgets: list[GadgetInstance]
+
+    @property
+    def result(self) -> Graph:
+        """U(G), the graph of the model."""
+        return self.model.graph
+
+    @property
+    def k(self) -> int:
+        """The crossing count: one gadget per crossing."""
+        return len(self.gadgets)
+
+    @property
+    def t(self) -> int:
+        """The path vertex count: subdivision vertices and detour apexes."""
+        return sum(self.per_edge_subdivisions.values())
 
 
 def _route_mesh_points(route) -> list[Point]:
@@ -127,15 +139,12 @@ def reduce(g: Graph) -> ReductionOutput:
         remap[nid] = new_id
     edges = frozenset((ra, remap[c]) for ra, a in enumerate(order) for c in adj[a]
                       if ra < remap[c])
-    result = Graph(len(order), edges)
-    model = ProximityModel(result, tuple(map(points.__getitem__, order)))
+    model = ProximityModel(Graph(len(order), edges), tuple(map(points.__getitem__, order)))
     gadgets = []
-    for ids, center, added in planted:
+    for ids, center in planted:
         new = [remap[nid] for nid in ids]
-        gadgets.append(GadgetInstance(tuple(new[:4]), tuple(new[4:]), center,
-                                      tuple(canon_edge(new[i], new[j]) for i, j in added)))
-    out = ReductionOutput(g, result, model, len(gadgets), sum(per_edge.values()),
-                          list(map(prov.__getitem__, order)), per_edge, gadgets)
+        gadgets.append(GadgetInstance(tuple(new[:4]), tuple(new[4:]), center))
+    out = ReductionOutput(g, model, list(map(prov.__getitem__, order)), per_edge, gadgets)
     validate_reduction(out)
     return out
 
@@ -188,12 +197,12 @@ def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
 
 def _plant_gadget(points: list[Point], prov: list[Provenance], adj: list[set[int]],
                   node_at: dict[Point, int], cp: Point
-                  ) -> tuple[tuple[int, ...], Point, tuple[Edge, ...]]:
+                  ) -> tuple[tuple[int, ...], Point]:
     """Step 3: plant H on the two path edges through crossing cp, at the
     points of the gadget model centered half a unit above cp: v0..v3 are
     path vertices, w0..w3 new ones.  construct_H_on runs on the subgraph
-    induced by v0..v3, relabelled 0..3.  Returns the ids of v0..w3, the
-    center, and the added edges as index pairs into those ids."""
+    induced by v0..v3, relabelled 0..3, and the edges it adds are linked.
+    Returns the ids of v0..w3 and the center."""
     center = cp.translate(0, _HALF)
     model_points = h_model(center).points
     vs = []
@@ -205,14 +214,14 @@ def _plant_gadget(points: list[Point], prov: list[Provenance], adj: list[set[int
     local = Graph(4, frozenset((i, j) for i in range(4) for j in range(i + 1, 4)
                                if vs[j] in adj[vs[i]]))
     try:
-        _, inst = construct_H_on(local, (0, 2), (1, 3))
+        planted, _ = construct_H_on(local, (0, 2), (1, 3))
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
     ids = (*vs, *_add_vertices(points, prov, adj, model_points[4:],
                                Provenance(ROLE_GADGET_W, crossing=(cp.xu, cp.yu))))
-    for i, j in inst.added_edges:
+    for i, j in sorted(planted.edges - local.edges):
         _link(adj, ids[i], ids[j])
-    return ids, center, inst.added_edges
+    return ids, center
 
 
 def _detour_site(points: list[Point], adj: list[set[int]], path: list[int]
@@ -275,17 +284,16 @@ def _apply_parity_detour(points: list[Point], prov: list[Provenance],
 
 def validate_reduction(r: ReductionOutput):
     """Internal consistency of a ReductionOutput; raises ConstructionError."""
-    report = validate_model(r.model)
+    try:
+        report = validate_model(r.model)
+    except InputError as exc:  # two vertices on one point
+        raise ConstructionError(f"model invalid: {exc}") from exc
     if not report.ok:
         raise ConstructionError(
             f"model invalid: missing={report.missing_edges[:3]} "
             f"spurious={report.spurious_edges[:3]}")
     if any(cnt % 2 for cnt in r.per_edge_subdivisions.values()):
         raise ConstructionError("odd per-edge subdivision count")
-    if r.t != sum(r.per_edge_subdivisions.values()) or r.t % 2:
-        raise ConstructionError("t does not match per-edge counts")
-    if r.k != len(r.gadgets):
-        raise ConstructionError("k does not match gadget instances")
     if r.result.n >= 2:
         p2 = precision2(r.model)
         if p2 < Fraction(1, 2):
@@ -299,6 +307,11 @@ def validate_reduction(r: ReductionOutput):
                    if r.result.has_edge(ids[i], ids[j])}
         if induced != set(h_edges):
             raise ConstructionError(f"gadget at {inst.center} is not a copy of H")
+    if len(r.provenance) != r.result.n:
+        raise ConstructionError(f"{len(r.provenance)} provenance entries, {r.result.n} vertices")
+    # each path vertex counts once in t, and each gadget adds four w's
+    if r.result.n != r.source.n + r.t + 4 * r.k:
+        raise ConstructionError(f"N = {r.result.n}, not n + t + 4k = {r.source.n + r.t + 4 * r.k}")
 
 
 def recover_mc(mc_u: int, k: int, t: int) -> int:
@@ -309,10 +322,9 @@ def recover_mc(mc_u: int, k: int, t: int) -> int:
     return value
 
 
-def bisection_double(r: "ReductionOutput | ProximityModel") -> ProximityModel:
+def bisection_double(model: ProximityModel) -> ProximityModel:
     """Two far-apart disjoint copies of the model: its maximum bisection is
     twice the maximum cut of the single copy."""
-    model = r.model if isinstance(r, ReductionOutput) else r
     g = model.graph
     if model.points:
         xs = [p.xu for p in model.points]
@@ -340,30 +352,24 @@ def to_json(r: "ReductionOutput | ProximityModel") -> str:
     {"id", "origin", "role", "x", "y"}, whose "origin" and "role" part is
     formatted once per Provenance object (reduce shares one per edge).
 
-    A bare model is written as its own source with k = t = 0 and every
-    vertex original."""
-    if isinstance(r, ReductionOutput):
-        model, source, k, t = r.model, r.source, r.k, r.t
-        provs = r.provenance
-        per_edge = r.per_edge_subdivisions
-    else:
-        model, source, k, t = r, r.graph, 0, 0
-        provs = repeat(Provenance(ROLE_ORIGINAL))
-        per_edge = {}
+    A bare model is written as its own source with no gadgets and no path
+    vertices, so k = t = 0, and every vertex original."""
+    if isinstance(r, ProximityModel):
+        r = ReductionOutput(r.graph, r, [Provenance(ROLE_ORIGINAL)] * r.graph.n, {}, [])
     parts: dict[int, str] = {}  # by id(): hashing a Provenance would cost more
     vertices = []
-    for vid, (x, y), prov in zip(count(), model.points, provs):
+    for vid, (x, y), prov in zip(count(), r.model.points, r.provenance):
         part = parts.get(id(prov))
         if part is None:
             origin = prov.edge if prov.edge is not None else prov.crossing
             part = parts[id(prov)] = json.dumps(
                 {"origin": origin, "role": prov.role}, sort_keys=True, separators=(",", ":"))[1:-1]
         vertices.append(f'{{"id":{vid},{part},"x":{x},"y":{y}}}')
-    subdivisions = json.dumps(sorted(per_edge.items()), separators=(",", ":"))
-    return (f'{{"edges":{_edge_list(model.graph)},"k":{k},'
+    subdivisions = json.dumps(sorted(r.per_edge_subdivisions.items()), separators=(",", ":"))
+    return (f'{{"edges":{_edge_list(r.model.graph)},"k":{r.k},'
             f'"per_edge_subdivisions":{subdivisions},"scale":{SCALE},'
-            f'"source":{{"edges":{_edge_list(source)},"n":{source.n}}},'
-            f'"t":{t},"vertices":[{",".join(vertices)}]}}\n')
+            f'"source":{{"edges":{_edge_list(r.source)},"n":{r.source.n}}},'
+            f'"t":{r.t},"vertices":[{",".join(vertices)}]}}\n')
 
 
 def _edge_list(g: Graph) -> str:

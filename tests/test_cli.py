@@ -18,7 +18,7 @@ from udgcut.gadget import h_model
 from udgcut.geometry import pairs_within
 from udgcut.graph_core import (complete_graph, format_graph_text, graph, path_graph,
                                random_graph)
-from udgcut.reduction import to_json
+from udgcut.reduction import ROLE_ORIGINAL, to_json
 from udgcut.solvers import max_cut_bruteforce
 
 
@@ -73,14 +73,6 @@ def test_reduce_to_stdout_pipes_into_solve(tmp_path, capsys, monkeypatch, out):
     assert mc_u - 8 * k - t == 2
 
 
-def test_reduce_svg_to_stdout_keeps_the_stats_line_off_it(tmp_path, k5_file, capsys):
-    out = tmp_path / "k5.json"
-    assert main(["reduce", "--in", k5_file, "--out", str(out), "--svg", "-"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("<svg ") and captured.out.endswith("</svg>\n")
-    assert captured.err.startswith("k=")
-
-
 def test_reduce_determinism_byte_identical(tmp_path, k5_file):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -92,8 +84,8 @@ def test_reduce_determinism_byte_identical(tmp_path, k5_file):
 def test_reduce_svg_shows_gadget_clusters(tmp_path, k5_file, capsys):
     out = tmp_path / "k5.json"
     svg_path = tmp_path / "k5.svg"
-    assert main(["reduce", "--in", k5_file, "--out", str(out),
-                 "--svg", str(svg_path)]) == 0
+    assert main(["reduce", "--in", k5_file, "--out", str(out)]) == 0
+    assert main(["render", "--in", str(out), "--out", str(svg_path)]) == 0
     svg = svg_path.read_text()
     payload = json.loads(out.read_text())
     # one crimson disk per gadget apex, four per crossing
@@ -191,7 +183,7 @@ def test_render_malformed_json_exits_2(tmp_path):
 
 
 def test_render_svg_exact_coordinates():
-    svg = model_svg(h_model())
+    svg = model_svg(h_model(), [ROLE_ORIGINAL] * 8)
     # disk radius is half a mesh unit: 10 in 1/20 units
     assert 'r="10"' in svg
     # w0 at (16, 16) units renders with the y axis flipped
@@ -217,14 +209,7 @@ def test_config_invariants_enforced(tmp_path, k5_file, capsys, monkeypatch):
     before = Path(k5_file).read_text()
     monkeypatch.chdir(tmp_path)
     assert main(["reduce", "--in", "k5.txt", "--out", "./k5.txt"]) == 2
-    assert main(["reduce", "--in", "k5.txt", "--svg", str(tmp_path / "k5.txt")]) == 2
     assert Path(k5_file).read_text() == before
-    capsys.readouterr()
-    # the model JSON and the SVG cannot share stdout
-    for out in ([], ["--out", "-"]):
-        err = _exits_2_with_one_error_line(capsys, ["reduce", "--in", k5_file,
-                                                    "--svg", "-"] + out)
-        assert "both go to stdout" in err
 
 
 def test_certify_failure_prints_counterexample(capsys, monkeypatch):
@@ -463,7 +448,6 @@ def test_a_graph_over_the_vertex_ceiling_exits_2(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("command, flags", [
     ("reduce", ["--out", "{missing}"]),
-    ("reduce", ["--out", "{tmp}/k2.json", "--svg", "{missing}"]),
     ("render", ["--out", "{missing}"]),
 ])
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys, command, flags):
@@ -471,7 +455,7 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, command, flags):
     src.write_text("2 1\n0 1\n" if command == "reduce" else to_json(h_model()))
     missing = tmp_path / "missing" / "out"
     argv = [command, "--in", str(src)] + [
-        f.format(missing=missing, tmp=tmp_path) for f in flags]
+        f.format(missing=missing) for f in flags]
     err = _exits_2_with_one_error_line(capsys, argv)
     assert f"cannot write {missing}: " in err
 

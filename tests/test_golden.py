@@ -1,8 +1,9 @@
-"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits, of the
-min-fill tree decomposition of that model, of the model checks' reports and of
-the brute-force oracles' answers are pinned, so a change to how the reduction,
-the decomposition, the model scan or the enumeration is built cannot change
-its output by a single byte without this file changing too."""
+"""Golden hashes: the SHA-256 of the model JSON that `reduce` emits, of its
+SVG rendering, of the min-fill tree decomposition of that model, of the model
+checks' reports and of the brute-force oracles' answers are pinned, so a
+change to how the reduction, the rendering, the decomposition, the model scan
+or the enumeration is built cannot change its output by a single byte without
+this file changing too."""
 
 import hashlib
 import json
@@ -10,10 +11,11 @@ import random
 
 import pytest
 
+from udgcut.cli import model_svg
 from udgcut.gadget import h_model
 from udgcut.graph_core import (Graph, complete_graph, cycle_graph, graph,
                                petersen_graph, random_graph)
-from udgcut.reduction import reduce, to_json
+from udgcut.reduction import load_output_json, reduce, to_json
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
                             max_cut_bruteforce)
 from udgcut.udg_model import (ProximityModel, precision2, random_precise_model,
@@ -59,6 +61,21 @@ def test_reduce_output_is_byte_identical(label):
     out = reduce(make())
     assert _sha256(to_json(out)) == digest
     assert _sha256(_td_json(greedy_tree_decomposition(out.result))) == td_digest
+
+
+# label: SHA-256 of the SVG that `render` draws from to_json(reduce(g))
+SVG_GOLDEN = {
+    "K4": "bc64e0b5ce5e4870216587c661f95211303ec925578f30fdc9853e85b36501c0",
+    "K5": "5b2c8fd90f355435bf8b5dd73ef6b05cca63f6e9103cd01a0b47b55c87796d9d",
+    "C5": "363b9550618d92db793a68294b311013bd2ca0f6d38409a2308855aaff3a108e",
+    "Petersen": "4c921cd976cfb4bf5f5ac26be7d7bf35c6f6829123de1136bf4d5b31cc2c29e8",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SVG_GOLDEN))
+def test_rendered_svg_is_byte_identical(label):
+    loaded = load_output_json(to_json(reduce(GOLDEN[label][0]())))
+    assert _sha256(model_svg(loaded.model, loaded.roles)) == SVG_GOLDEN[label]
 
 
 def test_reduce_outputs_on_random_graphs_are_identical():

@@ -202,7 +202,7 @@ def test_bisection_double_h_model():
 
 def test_bisection_double_reduction_output():
     r = reduce(graph(2, [(0, 1)]))
-    doubled = bisection_double(r)
+    doubled = bisection_double(r.model)
     assert doubled.graph.n == 2 * r.result.n
     assert validate_model(doubled).ok
     # both copies are paths: max bisection is all edges, twice mc
@@ -251,9 +251,14 @@ def test_validate_reduction_accepts_all_outputs():
 
 
 def _k5_with_one_fault(fault):
+    if fault == "swapped model":
+        r = reduce(graph(4, [(0, 1), (2, 3)]))
+        return dataclasses.replace(r, model=reduce(graph(2, [(0, 1)])).model,
+                                   provenance=r.provenance[:1])
     r = reduce(complete_graph(5))
     e = min(r.per_edge_subdivisions)
     inst = r.gadgets[0]
+    points = r.model.points
     faults = {
         "missing edge": dict(model=ProximityModel(
             graph(r.result.n, r.result.edges - {min(r.result.edges)}), r.model.points)),
@@ -262,8 +267,10 @@ def _k5_with_one_fault(fault):
         "close points": dict(model=ProximityModel(
             graph(2, [(0, 1)]), (Point(0, 0), Point(_HALF, 0)))),
         "loose points": dict(model=reduce(graph(2, [(0, 1)])).model),
-        "t": dict(t=r.t + 2),
-        "k": dict(k=r.k + 1),
+        "coincident points": dict(model=ProximityModel(
+            r.result, points[:-1] + points[-2:-1])),
+        "even count": dict(per_edge_subdivisions={
+            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 2}),
         "rotated gadget": dict(gadgets=[dataclasses.replace(
             inst, v_ids=inst.v_ids[1:] + inst.v_ids[:1])] + r.gadgets[1:]),
     }
@@ -275,9 +282,10 @@ def _k5_with_one_fault(fault):
     ("odd count", "odd per-edge subdivision count"),
     ("close points", "precision2 1/4 below 1/2"),
     ("loose points", "not tight despite k >= 1"),
-    ("t", "t does not match per-edge counts"),
-    ("k", "k does not match gadget instances"),
+    ("coincident points", "coincident points for vertices 2541 and 2542"),
     ("rotated gadget", "is not a copy of H"),
+    ("swapped model", "1 provenance entries, 78 vertices"),
+    ("even count", "N = 2543, not n"),
 ])
 def test_validate_reduction_rejects_each_fault(fault, words):
     with pytest.raises(ConstructionError, match=words):

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used in it."""
+"""Source hygiene: every name a module of the package imports is used in it,
+and every private top-level name a module defines is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,47 @@ def test_the_import_check_finds_unused_names():
               "def f(p: 'Point') -> None:\n"
               "    return crossings(json)\n")
     assert _unused_imports(source) == ["F", "MeshDrawing", "os"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each private top-level name that a module defines and
+    no module reads: by name, as an attribute, or in an import."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read |= {a.name for a in n.names}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            unread += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_top_level_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_private_name_check_finds_unread_names():
+    sources = {"a.py": ("_A, _B = 1, 2\n"
+                        "_C: int = 3\n"
+                        "__all__ = []\n"
+                        "def _f():\n"
+                        "    return _A\n"
+                        "class _K:\n"
+                        "    _unused_attr = 0\n"),
+               "b.py": "from .a import _f\n"}
+    assert _unread_private_names(sources) == ["a.py:_B", "a.py:_C", "a.py:_K"]
