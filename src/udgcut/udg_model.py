@@ -115,16 +115,23 @@ class ModelReport:
     spurious_edges: list[tuple[int, int, Fraction]] = field(default_factory=list)
 
 
+def _checked_scan(m: ProximityModel) -> _Scan:
+    """m's scan; raises InputError naming the smallest pair of coincident
+    points, if any."""
+    scan = m._scan
+    if scan.coincident is not None:
+        i, j = scan.coincident
+        raise InputError(f"coincident points for vertices {i} and {j}")
+    return scan
+
+
 def validate_model(m: ProximityModel) -> ModelReport:
     """Check adjacency iff distance <= 1 over all vertex pairs.
 
     Tangency counts as intersecting, so dist2 == 1 requires an edge.
     Coincident points are rejected outright, naming the smallest such pair.
     """
-    scan = m._scan
-    if scan.coincident is not None:
-        i, j = scan.coincident
-        raise InputError(f"coincident points for vertices {i} and {j}")
+    scan = _checked_scan(m)
     pts = m.points
     return ModelReport(
         ok=not scan.missing and not scan.spurious,
@@ -182,13 +189,13 @@ def straight_line_crossings(m: ProximityModel) -> list[CrossingWitness]:
 
 def require_valid_model(m: ProximityModel) -> None:
     """Raise InputError unless the edges are exactly the pairs of points at
-    distance at most 1, naming up to three missing and spurious edges."""
-    report = validate_model(m)
-    if not report.ok:
+    distance at most 1, naming up to three missing and spurious edges.
+    Reads the pairs from the scan, with no distance for each."""
+    scan = _checked_scan(m)
+    if scan.missing or scan.spurious:
         raise InputError(
             "model edges disagree with its coordinates: "
-            f"missing={[e[:2] for e in report.missing_edges[:3]]} "
-            f"spurious={[e[:2] for e in report.spurious_edges[:3]]}")
+            f"missing={scan.missing[:3]} spurious={scan.spurious[:3]}")
 
 
 def planarity_verdict(m: ProximityModel) -> str:

@@ -1,8 +1,11 @@
 """Exact solvers: brute force, balanced brute force, and the treewidth DP."""
 
 import heapq
+import os
 import random
 import re
+import threading
+import time
 from itertools import combinations, product
 
 import pytest
@@ -14,7 +17,8 @@ from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitErr
 from udgcut.graph_core import (Cut, adjacency, complete_graph, cut_size,
                                cycle_graph, disjoint_union, graph, path_graph,
                                petersen_graph, random_graph, subdivide_randomly)
-from udgcut.solvers import (TreeDecomposition, greedy_tree_decomposition,
+from udgcut.solvers import (SPLIT_MIN_VERTICES, TreeDecomposition, _best_key,
+                            _part_count, greedy_tree_decomposition,
                             max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp)
 
@@ -92,6 +96,7 @@ def test_graphs_whose_every_edge_crosses_the_split(n):
     if n % 2 == 0:
         size, cut = max_bisection_bruteforce(g)
         assert (size, cut.side) == _naive_optimum(g, balanced=True) == (g.m, cut.side)
+    _assert_parts_agree(g)
 
 
 def _complete_bipartite(a, b):
@@ -117,6 +122,7 @@ def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
         if g.n % 2 == 0:
             size, cut = max_bisection_bruteforce(g)
             assert (size, cut.side) == _naive_optimum(g, balanced=True)
+        _assert_parts_agree(g)
 
 
 def test_edgeless_graphs_keep_the_smallest_side_vector():
@@ -127,6 +133,119 @@ def test_edgeless_graphs_keep_the_smallest_side_vector():
         if n % 2 == 0:
             side = (0,) * (n // 2) + (1,) * (n // 2)
             assert max_bisection_bruteforce(graph(n)) == (0, Cut(side, 0))
+        # split, every part reaches 0, so the merge alone picks the key
+        for parts in (2, 4):
+            assert _best_key(graph(n), None, parts) == (0, 0)
+            if n % 2 == 0:
+                assert _best_key(graph(n), n // 2, parts) == (0, (1 << n // 2) - 1)
+
+
+def _assert_parts_agree(g):
+    """The core gives the serial walk's (size, key) split into 2 or 4 parts."""
+    for ones in (None, g.n // 2) if g.n % 2 == 0 else (None,):
+        serial = _best_key(g, ones, 1)
+        for parts in (2, 4):
+            assert _best_key(g, ones, parts) == serial, (parts, ones)
+
+
+def test_every_part_count_gives_the_serial_answer():
+    # n = 1 ... 4 walk fewer high bits than 4 parts need, so the part count
+    # is cut down to the number of high masks
+    rng = random.Random(73)
+    for n in range(1, 23):
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.3, 0.5, 0.9]), max_deg=rng.choice([4, n]))
+        _assert_parts_agree(g)
+        if n <= 12:
+            assert _best_key(g, None, 4)[0] == _naive_optimum(g)[0]
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_a_return():
+    g = random_graph(random.Random(74), 16, p=0.5, max_deg=4)
+    for ones in (None, 8):
+        _best_key(g, ones, 4)
+        _assert_no_worker_left()
+
+
+def test_no_worker_outlives_a_parent_part_that_raises(monkeypatch):
+    # the workers would take a minute, so a prompt return means they were
+    # killed, not waited for
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("part 0 fails")
+
+    monkeypatch.setattr(udgcut.solvers, "_walk_part", failing)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="part 0 fails"):
+        _best_key(random_graph(random.Random(75), 16, p=0.5, max_deg=4), None, 4)
+    assert time.monotonic() - start < 30
+    _assert_no_worker_left()
+
+
+def test_a_part_without_a_result_is_walked_again(monkeypatch):
+    parent = os.getpid()
+    walk = udgcut.solvers._walk_part
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return walk(*args)
+
+    g = random_graph(random.Random(83), 16, p=0.5, max_deg=4)
+    expected = [_best_key(g, ones, 1) for ones in (None, 8)]
+    # the answers lie outside part 0, the parent's own: the key's top two
+    # walked bits, below vertex 0's, are not both 0
+    assert all(key >> 13 for _, key in expected)
+    monkeypatch.setattr(udgcut.solvers, "_walk_part", dying)
+    assert [_best_key(g, ones, 4) for ones in (None, 8)] == expected
+    _assert_no_worker_left()
+
+    def refused():
+        raise OSError("refused")
+
+    for call in ("fork", "pipe"):
+        monkeypatch.setattr(os, call, refused)
+        assert [_best_key(g, ones, 4) for ones in (None, 8)] == expected
+        _assert_no_worker_left()
+
+
+def test_no_fork_on_small_graphs_or_beside_another_thread(monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _part_count(SPLIT_MIN_VERTICES) == 4
+    rng = random.Random(77)
+    small = random_graph(rng, SPLIT_MIN_VERTICES - 1, p=0.5, max_deg=4)
+    large = random_graph(rng, SPLIT_MIN_VERTICES, p=0.5, max_deg=4)
+    max_cut_bruteforce(small)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        max_cut_bruteforce(large)
+        max_bisection_bruteforce(large)
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert forks == []
+    with pytest.raises(AssertionError, match="forked"):
+        max_cut_bruteforce(large)
+    monkeypatch.delattr(os, "fork")
+    assert _part_count(SPLIT_MIN_VERTICES) == 1
 
 
 @st.composite

@@ -17,8 +17,8 @@ from udgcut.reduction import reduce
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
                               PLANAR_BY_THEOREM, CrossingWitness, ProximityModel,
                               conflict_gap2, planarity_verdict, precision2,
-                              random_precise_model, straight_line_crossings,
-                              validate_model)
+                              random_precise_model, require_valid_model,
+                              straight_line_crossings, validate_model)
 
 
 def test_h_model_validates():
@@ -366,6 +366,24 @@ def test_planarity_verdict_rejects_an_invalid_model():
     assert straight_line_crossings(m) != []
     with pytest.raises(InputError, match=r"missing=\[\] spurious=\[\(0, 1\)\]"):
         planarity_verdict(m)
+
+
+def test_an_invalid_model_names_three_missing_and_three_spurious_pairs(monkeypatch):
+    # five points within one unit and no edges among them, and a square of
+    # four points ten units apart with its sides as edges
+    pts = tuple(Point.of(Fraction(i, 4), 0) for i in range(5))
+    pts += (Point.mesh(10, 0), Point.mesh(20, 0), Point.mesh(10, 10), Point.mesh(20, 10))
+    m = ProximityModel(graph(9, [(5, 6), (5, 7), (6, 8), (7, 8)]), pts)
+    # the pairs come from the scan, without a distance for each
+    monkeypatch.setattr(udgcut.udg_model, "dist2", None)
+    with pytest.raises(InputError) as error:
+        require_valid_model(m)
+    assert str(error.value) == ("model edges disagree with its coordinates: "
+                                "missing=[(0, 1), (0, 2), (0, 3)] "
+                                "spurious=[(5, 6), (5, 7), (6, 8)]")
+    m = ProximityModel(graph(3), (Point(0, 0), Point(500, 0), Point(0, 0)))
+    with pytest.raises(InputError, match="^coincident points for vertices 0 and 2$"):
+        require_valid_model(m)
 
 
 def test_planarity_verdict_rejects_an_invalid_model_with_a_far_crossing():
