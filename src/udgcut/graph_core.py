@@ -1,5 +1,6 @@
 """Simple undirected graphs, cuts, and the pure graph surgeries used by the
-reduction: double edge subdivision and disjoint union.
+reduction: double edge subdivision and disjoint union; and pause_gc, which
+the pipeline's entry points share.
 
 Vertices are dense integer ids 0..n-1; edges are canonical (u, v) pairs with
 u < v; surgeries append fresh ids at the end so provenance is reproducible.
@@ -7,22 +8,52 @@ u < v; surgeries append fresh ids at the end so provenance is reproducible.
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TypeVar
 
 from .errors import InputError
 
 Edge = tuple[int, int]
 
 # The most vertices a graph file may name.  On an edgeless graph, the
-# cheapest input of its size, `reduce` is near-linear: 0.01 s at 1 000
-# vertices, 0.02 s at 2 000 and 0.14 s at 8 000 (Python 3.11, 2 vCPUs).
-# With edges the time follows the size of U(G), which grows with the
-# drawing's crossings and route lengths: cycle_graph(300) takes 0.35-0.37 s
-# and cycle_graph(1000) 1.5-1.8 s, most of it building U(G) and
-# validate_model; the drawing checks, a sweep, take 0.05 s and 0.2 s of that.
+# cheapest input of its size, `reduce` is near-linear: 0.02-0.03 s at 1 000
+# vertices, 0.05-0.06 s at 2 000 and 0.25-0.26 s at 8 000 (three runs each,
+# Python 3.11.7, 2 vCPUs).  With edges the time follows the size of U(G),
+# which grows with the drawing's crossings and route lengths:
+# cycle_graph(300) takes 0.63-0.79 s and cycle_graph(1000) 1.9-2.8 s, most
+# of it building U(G) and validate_model; the drawing checks, a sweep, take
+# 0.04-0.06 s and 0.14-0.21 s of that.  With the collector running in
+# reduce, the same runs took 0.30 s at 8 000 and 3.3-3.8 s on
+# cycle_graph(1000).
 MAX_VERTICES = 8000
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def pause_gc(fn: _F) -> _F:
+    """fn with CPython's cyclic garbage collector off while it runs.
+
+    A collector that is on is turned back on when fn returns or raises; one
+    that is already off, as in a nested call, is left off.  The pipeline
+    builds tens of thousands of sets, tuples and lists that hold no
+    reference cycles, so the collections they would trigger free nothing;
+    tests/test_gc.py checks that a full run leaves no cyclic garbage.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def canon_edge(u: int, v: int) -> Edge:

@@ -20,6 +20,12 @@ Steps, in construction order:
 U(G) is built in three lists indexed by vertex id: points, provenance and
 adjacency sets.  Ids are handed out in creation order, G's vertices first;
 one renumbering at the end keeps 0..n-1 and orders the rest by point.
+
+reduce and load_output_json run with the cyclic garbage collector paused
+(graph_core.pause_gc): they allocate tens of thousands of sets, tuples and
+lists that hold no reference cycles, so a collection during them walks
+every one of those objects and frees nothing.  tests/test_gc.py checks
+that the pipeline leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .drawing import crossings, mesh_draw, standardize, validate_drawing, valida
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model
 from .geometry import SCALE, Point
-from .graph_core import Edge, Graph, disjoint_union, graph
+from .graph_core import Edge, Graph, disjoint_union, graph, pause_gc
 from .udg_model import ProximityModel, precision2, validate_model
 
 ROLE_ORIGINAL = "original"
@@ -89,6 +95,7 @@ def _route_mesh_points(route) -> list[Point]:
     return pts
 
 
+@pause_gc
 def reduce(g: Graph) -> ReductionOutput:
     """Run the full pipeline on a graph of maximum degree at most 4."""
     drawn = standardize(mesh_draw(g))
@@ -391,6 +398,7 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+@pause_gc
 def load_output_json(text: str) -> LoadedOutput:
     """Decode a model JSON, rejecting anything but integer coordinates, ids
     that are a permutation of 0..n-1 and a simple edge list.  Whether the
@@ -404,16 +412,29 @@ def load_output_json(text: str) -> LoadedOutput:
         n = len(payload["vertices"])
         points = [None] * n
         roles = [ROLE_ORIGINAL] * n
+        # the checks of _json_int, inline: they run once per vertex and edge
         for rec in payload["vertices"]:
-            vid = _json_int(rec["id"], "vertex id")
+            vid = rec["id"]
+            if type(vid) is not int:
+                raise InputError(f"vertex id must be an integer, got {vid!r}")
             if not 0 <= vid < n or points[vid] is not None:
                 raise InputError(f"vertex ids must be a permutation of 0..{n - 1}")
-            points[vid] = Point(_json_int(rec["x"], "x"), _json_int(rec["y"], "y"))
+            x = rec["x"]
+            if type(x) is not int:
+                raise InputError(f"x must be an integer, got {x!r}")
+            y = rec["y"]
+            if type(y) is not int:
+                raise InputError(f"y must be an integer, got {y!r}")
+            points[vid] = Point(x, y)
             roles[vid] = rec.get("role", ROLE_ORIGINAL)
             if not isinstance(roles[vid], str):
                 raise InputError(f"role of vertex {vid} must be a string")
-        edges = [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
-                 for u, v in payload["edges"]]
+        edges = []
+        for u, v in payload["edges"]:
+            if type(u) is not int or type(v) is not int:
+                bad = v if type(u) is int else u
+                raise InputError(f"edge endpoint must be an integer, got {bad!r}")
+            edges.append((u, v))
         graph_obj = graph(n, edges)
         if graph_obj.m != len(edges):
             raise InputError("duplicate edge")

@@ -12,6 +12,12 @@ in a forked worker process.  The DP keeps the edges not yet counted as
 integer pair weights: a vertex with at most two weighted neighbours is
 forgotten by the chain rule in O(1), and only the other bags build a table
 over their side masks.
+
+The decomposition and the DP run with the cyclic garbage collector paused
+(graph_core.pause_gc): their sets, tuples and lists hold no reference
+cycles, so a collection during them walks every one of those objects, the
+DP's 2^(w+1)-entry tables included, and frees nothing.  tests/test_gc.py
+checks that the pipeline leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from itertools import combinations, repeat
 from operator import add, sub
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
-from .graph_core import Cut, Graph, canon_edge
+from .graph_core import Cut, Graph, canon_edge, pause_gc
 
 DEFAULT_BRUTE_LIMIT = 26
 # Below this many vertices brute force walks in one process.  A fork, a
@@ -42,10 +48,14 @@ SPLIT_MIN_VERTICES = 18
 _RESULT = struct.Struct("<qq")
 # A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
 # is a memory bound.  DP on the min-fill decomposition of the grid P_3k x P_k
-# (one run each, 2 vCPUs, Python 3.11.7): width 13 in 0.14 s and 19 MB of
-# process maxrss, 16 in 1.3 s and 36 MB, 20 in 10.6 s and 218 MB, 24 in 78 s
-# and 3.0 GB.  The reduce outputs of random degree-4 graphs with n = 14, 24
-# and 32 have width 13, 15 and 15; `solve` takes under 1 s and 70 MB on each.
+# (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.15-0.18 s
+# and 20 MB of process maxrss, 16 (k = 12) in 1.5-1.8 s and 36 MB, 20
+# (k = 14) in 13-15 s and 211 MB; an earlier single run took 78 s and 3.0 GB
+# at width 24.  Pausing the collector saves little here: with it running the
+# same runs took 0.16-0.18 s, 1.8-1.9 s and 12-15 s.  The reduce outputs of
+# random degree-4 graphs with n = 14, 24 and 32 have width 13, 15 and 15;
+# `solve` takes 0.24-0.30 s, 0.71-0.81 s and 0.97-1.05 s and 30, 51 and
+# 55 MB on them.
 DEFAULT_WIDTH_LIMIT = 20
 
 
@@ -316,6 +326,7 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
+@pause_gc
 def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from a min-fill elimination ordering.
 
@@ -458,6 +469,7 @@ def _add_weight(w: list[dict[int, int]], a: int, b: int, d: int) -> None:
             del w[a][b], w[b][a]
 
 
+@pause_gc
 def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                          max_width: int = DEFAULT_WIDTH_LIMIT) -> int:
     """Exact mc(g) by DP over the side assignments of each bag.

@@ -24,8 +24,8 @@ from udgcut.graph_core import (complete_graph, cycle_graph, graph,
 from udgcut.reduction import (ROLE_DETOUR_APEX, ROLE_GADGET_W, ROLE_ORIGINAL,
                               ROLE_SUBDIVISION, _HALF, Provenance, _add_vertices,
                               _apply_parity_detour, _detour_site, _link,
-                              _path_points, _plant_gadget, bisection_double,
-                              load_output_json, recover_mc,
+                              LoadedOutput, _path_points, _plant_gadget,
+                              bisection_double, load_output_json, recover_mc,
                               reduce, to_json, validate_reduction)
 from udgcut.solvers import (greedy_tree_decomposition, max_bisection_bruteforce,
                             max_cut_bruteforce, max_cut_treewidth_dp)
@@ -241,6 +241,45 @@ def test_load_output_json_rejects_garbage():
         load_output_json("{not json")
     with pytest.raises(InputError):
         load_output_json('{"scale": 7}')
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete_graph(4), lambda: complete_graph(5), lambda: cycle_graph(5),
+    petersen_graph, lambda: random_graph(random.Random(8), 8, 0.5, 4),
+    lambda: random_graph(random.Random(16), 16, 0.5, 4),
+], ids=["K4", "K5", "C5", "Petersen", "random8", "random16"])
+def test_load_output_json_gives_back_the_reduction(make):
+    r = reduce(make())
+    assert load_output_json(to_json(r)) == LoadedOutput(
+        r.model, r.k, r.t, [p.role for p in r.provenance])
+
+
+def _vertex(**fields):
+    return {"id": 0, "x": 0, "y": 0, **fields}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"vertices": [_vertex(id=0.0)]}, "vertex id must be an integer, got 0.0"),
+    ({"vertices": [_vertex(id=True)]}, "vertex id must be an integer, got True"),
+    ({"vertices": [_vertex(id=5)]}, "vertex ids must be a permutation of 0..0"),
+    ({"vertices": [_vertex(x="1")]}, "x must be an integer, got '1'"),
+    ({"vertices": [_vertex(y=1.5)]}, "y must be an integer, got 1.5"),
+    ({"vertices": [{"id": 0, "x": 1.5}]}, "x must be an integer, got 1.5"),
+    ({"vertices": [{"id": 0, "y": 0}]}, "'x'"),
+    ({"vertices": [_vertex(role=3)]}, "role of vertex 0 must be a string"),
+    ({"edges": [[0, 1.0]]}, "edge endpoint must be an integer, got 1.0"),
+    ({"edges": [[False, 1.0]]}, "edge endpoint must be an integer, got False"),
+    ({"edges": ["01"]}, "edge endpoint must be an integer, got '0'"),
+    ({"edges": [[0, 1, 2]]}, "too many values to unpack (expected 2)"),
+    ({"k": 1.0}, "k must be an integer, got 1.0"),
+    ({"t": None}, "t must be an integer, got None"),
+], ids=lambda x: "" if isinstance(x, str) else json.dumps(x))
+def test_load_output_json_names_the_first_bad_field(payload, message):
+    text = json.dumps({"scale": SCALE, "vertices": [_vertex(), _vertex(id=1, x=SCALE)],
+                       "edges": [], **payload})
+    with pytest.raises(InputError) as info:
+        load_output_json(text)
+    assert str(info.value) == f"malformed model JSON: {message}"
 
 
 def test_validate_reduction_accepts_all_outputs():

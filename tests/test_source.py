@@ -91,3 +91,40 @@ def test_the_private_name_check_finds_unread_names():
                         "    _unused_attr = 0\n"),
                "b.py": "from .a import _f\n"}
     assert _unread_private_names(sources) == ["a.py:_B", "a.py:_C", "a.py:_K"]
+
+
+def _collector_switches(sources: dict[str, str]) -> list[str]:
+    """module:function for each top-level function that turns the cyclic
+    garbage collector off or on, by gc.disable / gc.enable or by importing
+    either name from gc; module:<module> where that happens outside any."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners = [(node.name, node) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(n): name for name, node in owners for n in ast.walk(node)}
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr in ("disable", "enable")
+                    and isinstance(n.value, ast.Name) and n.value.id == "gc") or (
+                    isinstance(n, ast.ImportFrom) and n.module == "gc"
+                    and {a.name for a in n.names} & {"disable", "enable"}):
+                found.add(f"{module}:{inside.get(id(n), '<module>')}")
+    return sorted(found)
+
+
+def test_only_pause_gc_switches_the_collector():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _collector_switches(sources) == ["graph_core.py:pause_gc"]
+
+
+def test_the_collector_check_finds_every_switch():
+    sources = {"a.py": ("import gc\n"
+                        "def f():\n"
+                        "    gc.disable()\n"
+                        "def g():\n"
+                        "    return gc.isenabled()\n"
+                        "gc.enable()\n"),
+               "b.py": ("def h():\n"
+                        "    from gc import enable\n"
+                        "    enable()\n")}
+    assert _collector_switches(sources) == ["a.py:<module>", "a.py:f", "b.py:h"]
