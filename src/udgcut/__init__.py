@@ -3,15 +3,14 @@ proximity models, with certified cut arithmetic and exact solvers."""
 
 from .errors import (ConstructionError, DegenerateOverlapError, InconsistencyError,
                      InputError, ParityError, PreconditionError, SizeLimitError,
-                     TheoremViolationError, UdgcutError, UndefinedPrecisionError,
-                     WidthLimitError)
+                     UdgcutError, UndefinedPrecisionError, WidthLimitError)
 from .geometry import Point, Segment, dist2, dist2_units, segments_properly_cross
 from .graph_core import (Cut, Graph, canon_edge, complete_graph, cut_size,
                          cycle_graph, disjoint_union, format_graph_text, graph,
                          max_degree, parse_graph_text, path_graph, petersen_graph,
                          random_graph, subdivide_edge_twice)
 from .udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK, PLANAR_BY_THEOREM,
-                        CrossingWitness, ModelReport, ProximityModel, conflict_gap2,
+                        CrossingWitness, ModelReport, ProximityModel,
                         planarity_verdict, precision2, random_precise_model,
                         straight_line_crossings, validate_model)
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model

@@ -39,7 +39,3 @@ class InconsistencyError(UdgcutError):
 
 class ConstructionError(UdgcutError):
     """Internal validation of a constructed object failed (CLI exit code 1)."""
-
-
-class TheoremViolationError(ConstructionError):
-    """A certified geometric theorem failed on concrete data: implementation bug."""

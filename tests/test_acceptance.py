@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from udgcut.certify import check_precise_models_planar
 from udgcut.cli import main
 from udgcut.errors import PreconditionError
 from udgcut.gadget import build_H, construct_H_on, h_model
@@ -15,8 +16,8 @@ from udgcut.graph_core import (canon_edge, complete_graph, format_graph_text,
 from udgcut.reduction import bisection_double, recover_mc
 from udgcut.solvers import (max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp)
-from udgcut.udg_model import (conflict_gap2, precision2, random_precise_model,
-                              straight_line_crossings, validate_model)
+from udgcut.udg_model import (precision2, random_precise_model, straight_line_crossings,
+                              validate_model)
 from udgcut.drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
 
 
@@ -139,18 +140,15 @@ def test_criterion_08_precision_above_bound_is_planar():
                "model crosses, so strictness is necessary")
 
 
-def test_criterion_09_conflict_gap_certifies_planarity_argument():
-    """The squared region gap bound 2 - x^2 stays >= 1 on (0, 1], with
-    equality only at x = 1; the true region gap strictly exceeds the bound,
-    so it is strictly greater than 1 throughout (the uncrossable-edge
-    argument).  The bound itself equals 1 at x = 1 exactly."""
-    for k in range(1, 21):
-        val = conflict_gap2(Fraction(k, 20))
-        assert val >= 1
-        assert (val > 1) == (k < 20)
-    assert conflict_gap2(1) == 1
-    _report(9, "conflict gap bound >= 1 at all 20 sample lengths, equality "
-               "only at unit length where the strict excess carries the claim")
+def test_criterion_09_the_planarity_lemma_holds_for_all_real_points():
+    """The weighted law-of-cosines identity behind the planarity lemma holds
+    as a polynomial identity, so precision above 1/sqrt(2) rules out every
+    straight-line crossing; the gadget model is the boundary witness."""
+    res = check_precise_models_planar()
+    assert res.ok, res.counterexample
+    _report(9, "|ac|^2 x2y2 + |cb|^2 x1y2 + |bd|^2 x1y1 + |da|^2 x2y1 = "
+               "(x1+x2)(y1+y2)(x1x2 + y1y2) on all 162 points of "
+               "{0,1,2}^4 x {0,1}, so it holds for all real points")
 
 
 def test_criterion_10_drawing_validity_and_idempotence():

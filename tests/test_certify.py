@@ -31,10 +31,7 @@ FAULTS = {
                        "max_cut_bruteforce", lambda g: (12 if g.n == 8 else 4, None), None),
     "wrong mc(G)": (lambda: certify.check_reduction_identity(2), "reduction identity (8k + t)",
                     "max_cut_bruteforce", lambda g: (-1, None), None),
-    "precise model crosses": (lambda: certify.check_precise_models_planar(3),
-                              "precision above 1/sqrt(2) is planar",
-                              "straight_line_crossings", lambda m: [None], None),
-    "boundary without crossing": (lambda: certify.check_precise_models_planar(3),
+    "boundary without crossing": (certify.check_precise_models_planar,
                                   "precision above 1/sqrt(2) is planar",
                                   "straight_line_crossings", lambda m: [], None),
     "H model mismatch": (certify.check_h_exactness, "gadget model exactness", "validate_model",

@@ -251,7 +251,7 @@ _EXIT_CODES = {
     errors.ParityError: 2, errors.UndefinedPrecisionError: 2,
     errors.DegenerateOverlapError: 1, errors.SizeLimitError: 2,
     errors.WidthLimitError: 2, errors.InconsistencyError: 1,
-    errors.ConstructionError: 1, errors.TheoremViolationError: 1,
+    errors.ConstructionError: 1,
 }
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module of the package imports is used in it,
-and every private top-level name a module defines is read somewhere in the
-package."""
+every private top-level name a module defines is read somewhere in the
+package, and every error class the package defines is raised in it."""
 
 import ast
 from pathlib import Path
@@ -128,3 +128,38 @@ def test_the_collector_check_finds_every_switch():
                         "    from gc import enable\n"
                         "    enable()\n")}
     assert _collector_switches(sources) == ["a.py:<module>", "a.py:f", "b.py:h"]
+
+
+def _unraised_error_classes(sources: dict[str, str]) -> list[str]:
+    """Each error class errors.py defines, other than the base UdgcutError,
+    that no raise statement in the sources names."""
+    defined = [node.name for node in ast.parse(sources["errors.py"]).body
+               if isinstance(node, ast.ClassDef) and node.name != "UdgcutError"]
+    raised = set()
+    for text in sources.values():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unraised_error_classes(sources) == []
+
+
+def test_the_error_class_check_finds_unraised_classes():
+    sources = {"errors.py": ("class UdgcutError(Exception): pass\n"
+                             "class A(UdgcutError): pass\n"
+                             "class B(A): pass\n"
+                             "class C(A): pass\n"),
+               "a.py": ("from .errors import A, B, C\n"
+                        "def f():\n"
+                        "    raise A('x')\n"
+                        "def g():\n"
+                        "    raise B\n"
+                        "def h():\n"
+                        "    return C('never raised')\n")}
+    assert _unraised_error_classes(sources) == ["C"]

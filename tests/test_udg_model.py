@@ -16,7 +16,7 @@ from udgcut.graph_core import Graph, complete_graph, cycle_graph, graph
 from udgcut.reduction import reduce
 from udgcut.udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK,
                               PLANAR_BY_THEOREM, CrossingWitness, ProximityModel,
-                              conflict_gap2, planarity_verdict, precision2,
+                              planarity_verdict, precision2,
                               random_precise_model, require_valid_model,
                               straight_line_crossings, validate_model)
 
@@ -227,19 +227,35 @@ def test_collinear_overlap_is_a_witness():
     assert planarity_verdict(m) == NOT_PLANAR_DRAWING
 
 
-def test_planarity_verdicts():
-    assert planarity_verdict(h_model()) == NOT_PLANAR_DRAWING
-    one = ProximityModel(graph(1), (Point.mesh(0, 0),))
-    assert planarity_verdict(one) == PLANAR_BY_THEOREM
-    # min distance 3/4 gives precision2 = 9/16 > 1/2: theorem applies
+def _square_of_side_three_quarters():
+    """Four points at min distance 3/4, so precision2 = 9/16 > 1/2."""
     pts = (Point.mesh(0, 0), Point.of(Fraction(3, 4), 0),
            Point.of(Fraction(3, 4), Fraction(3, 4)), Point.of(0, Fraction(3, 4)))
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)
              if (Fraction(pts[i].xu - pts[j].xu, 20) ** 2
                  + Fraction(pts[i].yu - pts[j].yu, 20) ** 2) <= 1]
-    m = ProximityModel(graph(4, edges), pts)
+    return ProximityModel(graph(4, edges), pts)
+
+
+def test_planarity_verdicts():
+    assert planarity_verdict(h_model()) == NOT_PLANAR_DRAWING
+    one = ProximityModel(graph(1), (Point.mesh(0, 0),))
+    assert planarity_verdict(one) == PLANAR_BY_THEOREM
+    m = _square_of_side_three_quarters()  # the theorem applies
     assert precision2(m) == Fraction(9, 16)
     assert planarity_verdict(m) == PLANAR_BY_THEOREM
+
+
+def test_the_verdict_above_the_bound_scans_for_no_crossing(monkeypatch):
+    def no_scan(m):
+        raise AssertionError("scanned for crossings above the bound")
+
+    monkeypatch.setattr(udgcut.udg_model, "straight_line_crossings", no_scan)
+    rng = random.Random(73)
+    models = [_square_of_side_three_quarters()]
+    models += [random_precise_model(rng, rng.randint(2, 12)) for _ in range(10)]
+    for m in models:
+        assert planarity_verdict(m) == PLANAR_BY_THEOREM
 
 
 def test_planar_by_check_below_threshold():
@@ -264,25 +280,6 @@ def test_boundary_sharpness_of_the_planarity_bound():
     m = h_model()
     assert precision2(m) == Fraction(1, 2)
     assert straight_line_crossings(m) != []
-
-
-def test_conflict_gap2_values():
-    assert conflict_gap2(1) == 1
-    assert conflict_gap2(Fraction(1, 2)) == Fraction(7, 4)
-    assert conflict_gap2(Fraction(1, 20)) == Fraction(799, 400)
-    with pytest.raises(InputError):
-        conflict_gap2(0)
-    with pytest.raises(InputError):
-        conflict_gap2(Fraction(21, 20))
-
-
-def test_conflict_gap2_certifies_the_gap_above_one():
-    # 2 - x^2 >= 1 on (0, 1], equality only at x = 1; the region gap strictly
-    # exceeds this bound, hence is strictly greater than 1 throughout.
-    for k in range(1, 21):
-        val = conflict_gap2(Fraction(k, 20))
-        assert val >= 1
-        assert (val > 1) == (k < 20)
 
 
 def _crossings_by_all_pairs(m):
