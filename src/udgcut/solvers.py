@@ -48,13 +48,13 @@ SPLIT_MIN_VERTICES = 18
 _RESULT = struct.Struct("<qq")
 # A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
 # is a memory bound.  DP on the min-fill decomposition of the grid P_3k x P_k
-# (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.15-0.18 s
-# and 20 MB of process maxrss, 16 (k = 12) in 1.5-1.8 s and 36 MB, 20
-# (k = 14) in 13-15 s and 211 MB; an earlier single run took 78 s and 3.0 GB
+# (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.20-0.21 s
+# and 18 MB of process maxrss, 16 (k = 12) in 1.9-2.0 s and 35 MB, 20
+# (k = 14) in 14-16 s and 210 MB; an earlier single run took 78 s and 3.0 GB
 # at width 24.  Pausing the collector saves little here: with it running the
-# same runs took 0.16-0.18 s, 1.8-1.9 s and 12-15 s.  The reduce outputs of
+# same runs took 0.20-0.21 s, 1.7-1.9 s and 13-15 s.  The reduce outputs of
 # random degree-4 graphs with n = 14, 24 and 32 have width 13, 15 and 15;
-# `solve` takes 0.24-0.30 s, 0.71-0.81 s and 0.97-1.05 s and 30, 51 and
+# `solve` takes 0.24-0.33 s, 0.65-0.81 s and 0.99-1.00 s and 28, 45 and
 # 55 MB on them.
 DEFAULT_WIDTH_LIMIT = 20
 
@@ -323,30 +323,35 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+        return max(map(len, self.bags), default=0) - 1
 
 
 @pause_gc
 def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from a min-fill elimination ordering.
 
-    Uses a lazy heap keyed by (fill, degree, id): a popped entry that differs
-    from the vertex's current key is pushed back with the current key.
-    Each vertex's exact key is cached, and the cache entry is cleared only
-    where the key can change: at the neighbours of an eliminated vertex,
-    which are recomputed and pushed at once, and at the common neighbours
-    of the two ends of each fill edge, whose fill just dropped and is
-    recomputed when they are next popped.  A key equal to the last one
-    pushed for its vertex is still in the heap, so it is not pushed again.
+    A vertex v's key (fill, degree, v) is the integer (fill * n + degree)
+    * n + v, which orders the same way and compares faster.  The lazy queue
+    has two sources: the initial keys, sorted once and walked by index, and
+    a heap of the keys pushed since.  Each pop takes the smaller head, so
+    the pops come in the order of one heap holding both.  A popped entry
+    that differs from the vertex's current key is pushed back with the
+    current key.  Each vertex's exact key is cached, and the cache entry is
+    cleared only where the key can change: at the neighbours of an
+    eliminated vertex, which are recomputed and pushed at once, and at the
+    common neighbours of the two ends of each fill edge, whose fill just
+    dropped and is recomputed when they are next popped.  A key equal to
+    the last one pushed for its vertex is still queued, so it is not
+    pushed again.
 
     Most vertices of a reduction output subdivide an edge, so the common
     step eliminates a vertex v of degree 2 whose neighbours a and b are not
     adjacent.  The fill edge ab then takes v's place in both neighbourhoods:
     neither degree changes, and the fill of each end drops by exactly the
-    number of common neighbours of a and b.  A cached key of a or b is
-    lowered by that count in O(1), and is left as it is, not pushed, when
-    there are none; a cleared key is recomputed.  Every other elimination
-    recomputes the keys of all its neighbours.  The elimination order, and
+    number of common neighbours of a and b.  A cached key of a or b then
+    falls by n^2 per unit of fill in O(1), or stays, not pushed, when the
+    drop is 0; a cleared key is recomputed even then.  Other eliminations
+    recompute the keys of all their neighbours.  The elimination order, and
     so the bags and the tree, are the same either way.
     """
     n = g.n
@@ -356,37 +361,49 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    nn = n * n  # one unit of fill in a key
 
-    def key(v: int) -> tuple[int, int, int]:
+    def key(v: int) -> int:
         nbrs = adj[v]
         deg = len(nbrs)
         if deg <= 1:
-            return 0, deg, v
+            return deg * n + v
         if deg == 2:
             a, b = nbrs
-            return (0 if b in adj[a] else 1), 2, v
+            return (0 if b in adj[a] else nn) + 2 * n + v
         links = 0  # twice the number of edges among the neighbours
         for a in nbrs:
             links += len(adj[a] & nbrs)
-        return (deg * (deg - 1) - links) // 2, deg, v
+        return ((deg * (deg - 1) - links) // 2 * n + deg) * n + v
 
-    keys: list[tuple[int, int, int] | None] = [key(v) for v in range(n)]
+    keys: list[int | None] = []
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) == 2:
+            a, b = nbrs
+            keys.append((0 if b in adj[a] else nn) + 2 * n + v)
+        else:
+            keys.append(key(v))
     pushed = list(keys)
-    heap = list(keys)
-    heapq.heapify(heap)
+    initial = sorted(keys)
+    nxt = 0  # index of the next initial key
+    heap: list[int] = []
     heappop, heappush = heapq.heappop, heapq.heappush
     elim_index = [-1] * n  # position in the elimination order
     bags: list[frozenset[int]] = []
     bag_neighbors: list[set[int]] = []
     while len(bags) < n:
-        entry = heappop(heap)
-        v = entry[2]
+        if heap and (nxt == n or heap[0] < initial[nxt]):
+            entry = heappop(heap)
+        else:
+            entry = initial[nxt]
+            nxt += 1
+        v = entry % n
         if elim_index[v] >= 0:
             continue
         current = keys[v]
         if current is None:
             current = keys[v] = key(v)
-        if current is not entry and current != entry:
+        if current != entry:
             if current != pushed[v]:
                 pushed[v] = current
                 heappush(heap, current)
@@ -402,12 +419,12 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
             adj_a.discard(v)
             adj_b.discard(v)
             if b not in adj_a:
-                common = adj_a & adj_b
+                common = () if adj_a.isdisjoint(adj_b) else adj_a & adj_b
                 for w in common:
                     keys[w] = None
+                drop = len(common)
                 adj_a.add(b)
                 adj_b.add(a)
-                drop = len(common)
         else:
             bags.append(frozenset({v} | nbrs))
             for a in nbrs:
@@ -423,7 +440,7 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
             if k is None or drop is None:
                 k = keys[a] = key(a)
             elif drop:
-                k = keys[a] = (k[0] - drop, k[1], a)
+                k = keys[a] = k - drop * nn
             else:
                 continue
             if k != pushed[a]:
@@ -481,7 +498,8 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
     v with at most two weighted neighbours, and receives no table, forgets v
     by the chain rule: with neighbour weights w1 and w2 it adds
     c = max(0, w1 + w2) to the constant and max(w1, w2) - c to the pair of
-    v's neighbours.  Any other bag builds a table over the side masks of its
+    v's neighbours, dropping a pair whose weight reaches 0, so no stored
+    weight is 0.  Any other bag builds a table over the side masks of its
     vertices from the weights of its forgotten vertices and the tables of
     its children, and takes the max over the forgotten vertices.  A table
     over three or more vertices goes to the parent; a smaller one,
@@ -508,15 +526,15 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                              f"there are {len(bags)}")
         tree_adj[i].append(j)
         tree_adj[j].append(i)
-    # (bag, parent) pairs, each parent before its children; the root's
-    # parent is -1
-    order = [(0, -1)] if bags else []
-    reached = {0}
-    for x, _ in order:
+    # each parent before its children; parent[y] is None until bag y is
+    # reached, and the root's parent is -1
+    order = [0] if bags else []
+    parent: list[int | None] = [-1] + [None] * (len(bags) - 1)
+    for x in order:
         for y in tree_adj[x]:
-            if y not in reached:
-                reached.add(y)
-                order.append((y, x))
+            if parent[y] is None:
+                parent[y] = x
+                order.append(y)
     if len(order) != len(bags):
         raise InputError("decomposition tree does not reach every bag from bag 0")
     if len(td.tree) > len(bags) - 1:
@@ -526,37 +544,49 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
     for u, v in g.edges:
         w[u][v] = w[v][u] = 1
     const = 0
-    forgotten: set[int] = set()
+    forgotten = [False] * n
     inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
-    for x, p in reversed(order):
+    for x in reversed(order):
+        p = parent[x]
         bag = bags[x]
         up = bags[p] if p >= 0 else frozenset()
         gone = bag - up
         if len(gone) == 1 and x not in inbox:
             (v,) = gone
             wv = w[v]
-            if len(wv) <= 2 and v not in forgotten and wv.keys() <= bag:
-                forgotten.add(v)
-                if len(wv) == 2:
-                    (a, w1), (b, w2) = wv.items()
-                    del w[a][v], w[b][v]
-                    c = max(0, w1 + w2)
-                    const += c
-                    _add_weight(w, a, b, max(w1, w2) - c)
-                elif wv:
+            if len(wv) == 2 and not forgotten[v]:
+                (a, w1), (b, w2) = wv.items()
+                if a in bag and b in bag:
+                    # the chain rule
+                    forgotten[v] = True
+                    wa, wb = w[a], w[b]
+                    del wa[v], wb[v]
+                    if w1 + w2 > 0:
+                        const += w1 + w2
+                        # max(-w1, -w2) is max(w1, w2) - (w1 + w2)
+                        w1, w2 = -w1, -w2
+                    d = wa.get(b, 0) + (w1 if w1 > w2 else w2)
+                    if d:
+                        wa[b] = wb[a] = d
+                    else:
+                        del wa[b], wb[a]
+                    continue
+            elif len(wv) < 2 and not forgotten[v] and wv.keys() <= bag:
+                forgotten[v] = True
+                if wv:
                     (a, w1), = wv.items()
                     del w[a][v]
                     const += max(0, w1)
                 continue
         for v in gone:
-            if v in forgotten:
+            if forgotten[v]:
                 raise InputError(f"bags holding vertex {v} are not connected")
             if not w[v].keys() <= bag:
                 u = min(w[v].keys() - bag)
                 what = "edge" if canon_edge(u, v) in g.edges else "weighted pair"
                 raise InputError(f"{what} {canon_edge(u, v)} is not in bag {x}, "
                                  f"where vertex {v} is forgotten")
-        forgotten |= gone
+            forgotten[v] = True
         shared = sorted(bag & up)
         vertices = shared + sorted(gone)
         # shared vertices hold the low bits, forgotten ones the high bits
@@ -579,7 +609,7 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
             const += table[0]
             if len(shared) == 2:
                 _add_weight(w, *shared, table[1] - table[0])
-    stray = [e for e in g.edges if e[0] not in forgotten]
+    stray = [] if all(forgotten) else [e for e in g.edges if not forgotten[e[0]]]
     if stray:
         raise InputError(f"edge {min(stray)} lies in no bag")
     return const

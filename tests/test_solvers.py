@@ -1,5 +1,6 @@
 """Exact solvers: brute force, balanced brute force, and the treewidth DP."""
 
+import hashlib
 import heapq
 import os
 import random
@@ -482,6 +483,11 @@ def test_min_fill_matches_the_reference_where_a_fill_edge_has_common_neighbours(
               petersen_graph(), complete_graph(5), _grid_graph(3, 3)):
         _assert_min_fill_matches_the_reference(_subdivided_once(g))
         _assert_min_fill_matches_the_reference(_subdivided_once(_subdivided_once(g)))
+    # an end whose key a fill edge cleared is the end of a later degree-2
+    # elimination whose ends share no neighbour: it is recomputed all the same
+    _assert_min_fill_matches_the_reference(graph(12, [
+        (0, 2), (0, 6), (0, 7), (1, 6), (1, 8), (1, 9), (2, 4), (2, 5), (3, 4),
+        (3, 7), (3, 8), (4, 11), (5, 6), (9, 10), (10, 11)]))
 
 
 def test_dp_examples():
@@ -664,33 +670,39 @@ def test_dp_bag_forgets_a_degree_2_vertex_and_receives_a_table():
     _assert_dp_is_exact_from_every_root(g, td)
 
 
-@st.composite
-def _corrupted_decompositions(draw):
+def _corrupted_decomposition(integer, choose):
     """A small graph, maybe subdivided, and its min-fill decomposition,
     rerooted, with one vertex dropped from a bag, one tree edge dropped, or
-    one vertex added to a bag whose tree neighbours do not hold it."""
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    g = random_graph(rng, draw(st.integers(1, 8)), p=draw(st.sampled_from([0.3, 0.6, 0.9])))
-    if draw(st.booleans()):
+    one vertex added to a bag whose tree neighbours do not hold it.
+    integer(lo, hi) and choose(options) make every choice."""
+    rng = random.Random(integer(0, 2**32))
+    g = random_graph(rng, integer(1, 8), p=choose([0.3, 0.6, 0.9]))
+    if choose([False, True]):
         g = subdivide_randomly(rng, g, max_n=14)
     td = greedy_tree_decomposition(g)
-    td = _rerooted(td, draw(st.integers(0, len(td.bags) - 1)))
+    td = _rerooted(td, integer(0, len(td.bags) - 1))
     bags, tree = list(td.bags), list(td.tree)
-    kind = draw(st.sampled_from(["drop vertex", "drop tree edge", "add vertex"]))
+    kind = choose(["drop vertex", "drop tree edge", "add vertex"])
     if kind == "drop vertex":
-        i = draw(st.integers(0, len(bags) - 1))
+        i = integer(0, len(bags) - 1)
         if bags[i]:
-            bags[i] = bags[i] - {draw(st.sampled_from(sorted(bags[i])))}
+            bags[i] = bags[i] - {choose(sorted(bags[i]))}
     elif kind == "drop tree edge" and tree:
-        del tree[draw(st.integers(0, len(tree) - 1))]
+        del tree[integer(0, len(tree) - 1)]
     elif kind == "add vertex":
-        v = draw(st.integers(0, g.n - 1))
+        v = integer(0, g.n - 1)
         near = {j for i, j in tree + [(j, i) for i, j in tree] if v in bags[i]}
         far = [i for i, b in enumerate(bags) if v not in b and i not in near]
         if far:
-            i = draw(st.sampled_from(far))
+            i = choose(far)
             bags[i] = bags[i] | {v}
     return g, TreeDecomposition(bags, tree)
+
+
+@st.composite
+def _corrupted_decompositions(draw):
+    return _corrupted_decomposition(lambda lo, hi: draw(st.integers(lo, hi)),
+                                    lambda options: draw(st.sampled_from(options)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -705,3 +717,19 @@ def test_dp_on_a_corrupted_decomposition_raises_or_is_exact(case):
             assert (int(u), int(v)) in g.edges
     else:
         assert value == max_cut_bruteforce(g)[0]
+
+
+def test_dp_outcomes_on_corrupted_decompositions_are_identical():
+    # the value, or the class and exact message of the error, on each of
+    # 200 seeded corruptions
+    rng = random.Random(2026)
+    running = hashlib.sha256()
+    for _ in range(200):
+        g, td = _corrupted_decomposition(rng.randint, rng.choice)
+        try:
+            outcome = str(max_cut_treewidth_dp(g, td, max_width=20))
+        except InputError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        running.update(f"{outcome}\n".encode("utf-8"))
+    assert running.hexdigest() == (
+        "c569bef26bd6e8700c1e8d1f1115f9029e5f53cb36367d8340e83bda2c3a651c")
