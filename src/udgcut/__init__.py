@@ -14,8 +14,8 @@ from .udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK, PLANAR_BY_THEOREM,
                         planarity_verdict, precision2, random_precise_model,
                         straight_line_crossings, validate_model)
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model
-from .drawing import (Crossing, MeshDrawing, StandardReport, crossings,
-                      mesh_draw, standardize, validate_drawing, validate_standard)
+from .drawing import (Crossing, MeshDrawing, crossings, mesh_draw, standardize,
+                      validate_drawing, validate_standard)
 from .solvers import (TreeDecomposition, greedy_tree_decomposition,
                       max_bisection_bruteforce, max_cut_bruteforce,
                       max_cut_treewidth_dp)

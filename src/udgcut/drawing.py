@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConstructionError, DegenerateOverlapError, InputError
 from .geometry import ONE_DIST2_UNITS, SCALE, Point, pairs_within
@@ -365,52 +365,28 @@ def standardize(d: MeshDrawing) -> MeshDrawing:
     return MeshDrawing(d.graph, placement, routes)
 
 
-@dataclass
-class StandardReport:
-    """Pass/fail per standardness condition with a first witness each."""
-
-    crossing_pairs_ok: bool
-    vertex_pairs_ok: bool
-    vertex_crossing_ok: bool
-    parallel_lines_ok: bool
-    witnesses: dict[str, tuple] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (self.crossing_pairs_ok and self.vertex_pairs_ok
-                and self.vertex_crossing_ok and self.parallel_lines_ok)
-
-
-def _first_pair_closer_than_ten(ps: list[Point], qs: list[Point] | None = None):
-    """The first (ps[i], qs[j]) in (i, j) order less than 10 mesh units
-    apart, or None; qs=None pairs ps with itself, taking only j > i."""
-    pts = ps if qs is None else ps + qs
-    lo = 0 if qs is None else len(ps)  # where qs starts in pts
-    first = min(((i, j) for d, i, j in pairs_within(pts, _TEN)
-                 if d < _TEN2_UNITS and i < len(ps) and j >= lo), default=None)
-    return None if first is None else (pts[first[0]], pts[first[1]])
-
-
-def validate_standard(d: MeshDrawing, xreport: list[Crossing]) -> StandardReport:
-    """Check conditions: (i) crossing-crossing, (ii) vertex-vertex,
-    (iii) vertex-crossing distances >= 10, and (iv) distinct parallel carrier
-    lines >= 10 apart (checked for every pair of occupied carrier lines,
-    including two lines used by the same edge).  xreport is crossings(d)."""
-    xs = [c.point for c in xreport]
+def validate_standard(d: MeshDrawing, xreport: list[Crossing]) -> dict[str, tuple]:
+    """Witnesses of the standardness conditions that fail, {} when all hold:
+    (i) crossing-crossing, (ii) vertex-vertex, (iii) vertex-crossing
+    distances >= 10, each witnessed by its first close pair in (i, j) order,
+    and (iv) distinct parallel carrier lines >= 10 apart (checked for every
+    pair of occupied carrier lines, including two lines used by the same
+    edge), witnessed by the lowest close pair.  xreport is crossings(d)."""
     vs = sorted(d.placement.values())
-    close = {"crossing_pairs": _first_pair_closer_than_ten(xs),
-             "vertex_pairs": _first_pair_closer_than_ten(vs),
-             "vertex_crossing": _first_pair_closer_than_ten(vs, xs)}
-    report = StandardReport(
-        close["crossing_pairs"] is None, close["vertex_pairs"] is None,
-        close["vertex_crossing"] is None, True,
-        {name: pair for name, pair in close.items() if pair is not None})
+    pts = vs + [c.point for c in xreport]
+    first: dict[int, tuple[int, int]] = {}  # by how many ends are crossings
+    for dist2, i, j in pairs_within(pts, _TEN):
+        if dist2 < _TEN2_UNITS:
+            ends = (i >= len(vs)) + (j >= len(vs))
+            first[ends] = min(first.get(ends, (i, j)), (i, j))
+    witnesses = {name: (pts[first[ends][0]], pts[first[ends][1]])
+                 for ends, name in ((2, "crossing_pairs"), (0, "vertex_pairs"),
+                                    (1, "vertex_crossing"))
+                 if ends in first}
     carriers = _axis_lines(list(d.routes.values()))
     for v, name in ((0, "rows"), (1, "cols")):
         lines = sorted(c for w, c in carriers if w == v)
         for a, b in zip(lines, lines[1:]):
             if b - a < _TEN:
-                report.parallel_lines_ok = False
-                report.witnesses.setdefault(f"parallel_{name}", (a, b))
-    return report
-
+                witnesses.setdefault(f"parallel_{name}", (a, b))
+    return witnesses

@@ -103,9 +103,9 @@ def reduce(g: Graph) -> ReductionOutput:
     if problems:
         raise ConstructionError(f"standardized drawing invalid: {problems[:3]}")
     xreport = crossings(drawn)
-    report = validate_standard(drawn, xreport)
-    if not report.ok:
-        raise ConstructionError(f"standardization failed: {report.witnesses}")
+    witnesses = validate_standard(drawn, xreport)
+    if witnesses:
+        raise ConstructionError(f"standardization failed: {witnesses}")
 
     # the crossing points on each edge, True where the edge is the horizontal one
     sites: dict[Edge, dict[Point, bool]] = {e: {} for e in drawn.routes}

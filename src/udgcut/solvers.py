@@ -261,7 +261,7 @@ def _walk_parts(walk: Callable[[int], tuple[int, int]],
     return results
 
 
-def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
+def max_cut_bruteforce(g: Graph) -> tuple[int, Cut]:
     """Exact maximum cut by enumerating all 2^(n-1) side vectors.
 
     Vertex 0 is fixed to side 0; ties break toward the lexicographically
@@ -281,16 +281,16 @@ def max_cut_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int,
     split.
     """
     n = g.n
-    if n > limit:
-        raise SizeLimitError(
-            f"n={n} exceeds brute-force limit {limit}; use max_cut_treewidth_dp")
+    if n > DEFAULT_BRUTE_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds brute-force limit {DEFAULT_BRUTE_LIMIT}; "
+                             "use max_cut_treewidth_dp")
     if n == 0:
         return 0, Cut((), 0)
     best_val, best_key = _best_key(g)
     return best_val, Cut(_side_tuple(best_key, n), best_val)
 
 
-def max_bisection_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tuple[int, Cut]:
+def max_bisection_bruteforce(g: Graph) -> tuple[int, Cut]:
     """Exact maximum bisection over balanced side vectors (vertex 0 on side 0).
 
     Ties break toward the lexicographically smallest balanced side vector,
@@ -303,8 +303,8 @@ def max_bisection_bruteforce(g: Graph, limit: int = DEFAULT_BRUTE_LIMIT) -> tupl
     n = g.n
     if n % 2 != 0:
         raise ParityError(f"bisection needs an even vertex count, got {n}")
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds brute-force limit {limit}")
+    if n > DEFAULT_BRUTE_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds brute-force limit {DEFAULT_BRUTE_LIMIT}")
     if n == 0:
         return 0, Cut((), 0)
     best_val, best_key = _best_key(g, n // 2)
@@ -376,13 +376,7 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
             links += len(adj[a] & nbrs)
         return ((deg * (deg - 1) - links) // 2 * n + deg) * n + v
 
-    keys: list[int | None] = []
-    for v, nbrs in enumerate(adj):
-        if len(nbrs) == 2:
-            a, b = nbrs
-            keys.append((0 if b in adj[a] else nn) + 2 * n + v)
-        else:
-            keys.append(key(v))
+    keys: list[int | None] = [key(v) for v in range(n)]
     pushed = list(keys)
     initial = sorted(keys)
     nxt = 0  # index of the next initial key

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udgcut.reduction
-from udgcut.drawing import StandardReport
+from udgcut.drawing import MeshDrawing
 from udgcut.errors import ConstructionError, InconsistencyError, InputError
 from udgcut.gadget import build_H, h_model
 from udgcut.geometry import SCALE, Point, dist2
@@ -353,8 +353,7 @@ def test_unstandardized_drawings_return_or_raise_construction_error(monkeypatch)
     # the raw staircase drawing puts crossings next to each other, next to
     # route ends and near corners; every site precondition must catch that
     monkeypatch.setattr("udgcut.reduction.standardize", lambda d: d)
-    monkeypatch.setattr("udgcut.reduction.validate_standard",
-                        lambda d, x: StandardReport(True, True, True, True))
+    monkeypatch.setattr("udgcut.reduction.validate_standard", lambda d, x: {})
     cases = [complete_graph(4), complete_graph(5), cycle_graph(5), petersen_graph()]
     for seed in range(40):
         rng = random.Random(seed)
@@ -367,6 +366,36 @@ def test_unstandardized_drawings_return_or_raise_construction_error(monkeypatch)
         except ConstructionError:
             pass
     assert returned == 2
+
+
+def test_an_unstandardized_drawing_fails_the_standardness_gate(monkeypatch):
+    monkeypatch.setattr("udgcut.reduction.standardize", lambda d: d)
+    with pytest.raises(ConstructionError) as info:
+        reduce(complete_graph(5))
+    assert str(info.value) == (
+        "standardization failed: "
+        "{'crossing_pairs': (Point(xu=0, yu=20), Point(xu=100, yu=120)), "
+        "'vertex_pairs': (Point(xu=0, yu=0), Point(xu=120, yu=120)), "
+        "'vertex_crossing': (Point(xu=0, yu=0), Point(xu=0, yu=20)), "
+        "'parallel_rows': (-40, -20), 'parallel_cols': (-40, 0)}")
+
+
+def test_an_invalid_drawing_fails_the_drawing_gate(monkeypatch):
+    # two routes on one row that overlap; standardizing keeps the overlap
+    def overlapping(g):
+        placement = {0: Point.mesh(0, 0), 1: Point.mesh(10, 0),
+                     2: Point.mesh(5, 0), 3: Point.mesh(15, 0)}
+        return MeshDrawing(g, placement, {(0, 1): (placement[0], placement[1]),
+                                          (2, 3): (placement[2], placement[3])})
+
+    monkeypatch.setattr("udgcut.reduction.mesh_draw", overlapping)
+    with pytest.raises(ConstructionError) as info:
+        reduce(graph(4, [(0, 1), (2, 3)]))
+    assert str(info.value) == (
+        "standardized drawing invalid: ["
+        "'route (0, 1) passes through vertex 2 at Point(xu=300, yu=0)', "
+        "'route (2, 3) passes through vertex 1 at Point(xu=600, yu=0)', "
+        "'routes (0, 1) and (2, 3) overlap collinearly']")
 
 
 def _path_points_on(corners, crossings):
@@ -413,9 +442,10 @@ def test_a_missing_site_vertex_names_the_crossing():
         _plant_gadget(points, prov, adj, node_at, cp)
 
 
-def test_the_traced_benchmark_finds_every_callee_it_wraps():
+def test_the_traced_benchmark_finds_every_callee_it_wraps(monkeypatch):
     # perfbench/tracer.py swaps these names in udgcut.reduction's globals;
-    # one that is gone makes `perfbench/run.py --trace 1` fail on getattr
+    # one that is gone makes `perfbench/run.py --trace 1` fail on getattr,
+    # and one that reduce no longer calls silently drops its span
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
     callees = next(ast.literal_eval(node.value) for node in ast.parse(source).body
                    if isinstance(node, ast.Assign)
@@ -423,6 +453,19 @@ def test_the_traced_benchmark_finds_every_callee_it_wraps():
     missing = [name for name in callees
                if not callable(getattr(udgcut.reduction, name, None))]
     assert callees and missing == []
+    calls = dict.fromkeys(callees, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in callees:
+        monkeypatch.setattr(udgcut.reduction, name,
+                            counted(name, getattr(udgcut.reduction, name)))
+    reduce(complete_graph(5))
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_the_benchmark_finds_every_name_it_calls_on_udgcut():

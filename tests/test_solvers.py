@@ -18,8 +18,9 @@ from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitErr
 from udgcut.graph_core import (Cut, adjacency, complete_graph, cut_size,
                                cycle_graph, disjoint_union, graph, path_graph,
                                petersen_graph, random_graph, subdivide_randomly)
-from udgcut.solvers import (SPLIT_MIN_VERTICES, TreeDecomposition, _best_key,
-                            _part_count, greedy_tree_decomposition,
+from udgcut.solvers import (DEFAULT_BRUTE_LIMIT, SPLIT_MIN_VERTICES,
+                            TreeDecomposition, _best_key, _part_count,
+                            _side_tuple, greedy_tree_decomposition,
                             max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp)
 
@@ -109,7 +110,8 @@ def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
     # the low block holds at most DEFAULT_BRUTE_LIMIT // 2 vertices; a small
     # cap makes it shorter than n // 2, so some high masks have no balanced
     # completion and are skipped, and cap 0 walks every vertex but vertex 0
-    # in Gray order
+    # in Gray order.  The cap is the brute-force size limit too, so the core
+    # is called directly
     monkeypatch.setattr(udgcut.solvers, "DEFAULT_BRUTE_LIMIT", cap)
     rng = random.Random(71)
     graphs = [_across_the_split(10), complete_graph(9), graph(8)]
@@ -118,11 +120,11 @@ def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
     graphs += [random_graph(rng, rng.randint(1, 12), p=rng.choice([0.1, 0.2, 0.5, 0.9]))
                for _ in range(30)]
     for g in graphs:
-        size, cut = max_cut_bruteforce(g)
-        assert (size, cut.side) == _naive_optimum(g)
+        size, key = _best_key(g)
+        assert (size, _side_tuple(key, g.n)) == _naive_optimum(g)
         if g.n % 2 == 0:
-            size, cut = max_bisection_bruteforce(g)
-            assert (size, cut.side) == _naive_optimum(g, balanced=True)
+            size, key = _best_key(g, g.n // 2)
+            assert (size, _side_tuple(key, g.n)) == _naive_optimum(g, balanced=True)
         _assert_parts_agree(g)
 
 
@@ -269,10 +271,11 @@ def test_solvers_agree_with_plain_enumeration(g):
 
 
 def test_size_limit_error():
+    # both raise before enumerating; an odd n would fail bisection's parity check
     with pytest.raises(SizeLimitError):
-        max_cut_bruteforce(graph(10), limit=9)
+        max_cut_bruteforce(graph(DEFAULT_BRUTE_LIMIT + 1))
     with pytest.raises(SizeLimitError):
-        max_bisection_bruteforce(graph(10), limit=9)
+        max_bisection_bruteforce(graph(DEFAULT_BRUTE_LIMIT + 2))
 
 
 def test_bisection_examples():
