@@ -24,7 +24,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 
-from .errors import ConstructionError, DegenerateOverlapError, InputError
+from .errors import DegenerateOverlapError, InputError
 from .geometry import ONE_DIST2_UNITS, SCALE, Point, pairs_within
 from .graph_core import Edge, Graph, adjacency, max_degree
 
@@ -142,11 +142,7 @@ def _route(pu: Point, pv: Point, s_letter: str, t_letter: str) -> Route:
         "C": [m(x, run_row), m(x, d - 2), m(c, d - 2), m(c, d)],
         "D": [m(x, run_row), m(x, d), m(c, d)],
     }[t_letter]
-    route = tuple(prefix + suffix)
-    for p, q in _segments(route):
-        if p == q or (p.xu != q.xu and p.yu != q.yu):
-            raise ConstructionError(f"malformed route corner sequence {route}")
-    return route
+    return tuple(prefix + suffix)
 
 
 # -- validation ----------------------------------------------------------------

@@ -67,9 +67,6 @@ class Graph:
     n: int
     edges: frozenset[Edge]
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def has_edge(self, u: int, v: int) -> bool:
         return canon_edge(u, v) in self.edges
 
@@ -82,11 +79,19 @@ class Graph:
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Validated Graph constructor: rejects loops and out-of-range endpoints."""
+    """The one validated Graph constructor, which every parsed graph goes
+    through: n and both ends of each edge must be exactly int (so bools
+    fail), and edges must be loopless and in range.  Each edge is checked
+    in full before the next."""
+    if type(n) is not int:
+        raise InputError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"negative vertex count {n}")
     canon = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            bad = v if type(u) is int else u
+            raise InputError(f"edge endpoint must be an integer, got {bad!r}")
         if u == v:
             raise InputError(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -95,8 +100,9 @@ def graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, frozenset(canon))
 
 
-def adjacency(g: Graph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
+def adjacency(g: Graph) -> list[set[int]]:
+    """The neighbour set of each vertex, indexed by vertex id."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
@@ -104,13 +110,7 @@ def adjacency(g: Graph) -> dict[int, set[int]]:
 
 
 def max_degree(g: Graph) -> int:
-    if not g.edges:
-        return 0
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return max(deg)
+    return max(map(len, adjacency(g)), default=0)
 
 
 def cut_size(g: Graph, side: Mapping[int, int] | Sequence[int]) -> int:
@@ -171,10 +171,7 @@ def parse_graph_text(text: str) -> Graph:
     seen = set()
     edges = []
     for i in range(m):
-        u, v = nums[2 + 2 * i], nums[3 + 2 * i]
-        if u == v:
-            raise InputError(f"loop at vertex {u}")
-        e = canon_edge(u, v)
+        e = canon_edge(nums[2 + 2 * i], nums[3 + 2 * i])
         if e in seen:
             raise InputError(f"duplicate edge {e}")
         seen.add(e)

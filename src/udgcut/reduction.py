@@ -412,7 +412,7 @@ def load_output_json(text: str) -> LoadedOutput:
         n = len(payload["vertices"])
         points = [None] * n
         roles = [ROLE_ORIGINAL] * n
-        # the checks of _json_int, inline: they run once per vertex and edge
+        # the checks of _json_int, inline: they run once per vertex
         for rec in payload["vertices"]:
             vid = rec["id"]
             if type(vid) is not int:
@@ -429,12 +429,7 @@ def load_output_json(text: str) -> LoadedOutput:
             roles[vid] = rec.get("role", ROLE_ORIGINAL)
             if not isinstance(roles[vid], str):
                 raise InputError(f"role of vertex {vid} must be a string")
-        edges = []
-        for u, v in payload["edges"]:
-            if type(u) is not int or type(v) is not int:
-                bad = v if type(u) is int else u
-                raise InputError(f"edge endpoint must be an integer, got {bad!r}")
-            edges.append((u, v))
+        edges = payload["edges"]
         graph_obj = graph(n, edges)
         if graph_obj.m != len(edges):
             raise InputError("duplicate edge")

@@ -34,7 +34,7 @@ from itertools import combinations, repeat
 from operator import add, sub
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
-from .graph_core import Cut, Graph, canon_edge, pause_gc
+from .graph_core import Cut, Graph, adjacency, canon_edge, pause_gc
 
 DEFAULT_BRUTE_LIMIT = 26
 # Below this many vertices brute force walks in one process.  A fork, a
@@ -357,10 +357,7 @@ def greedy_tree_decomposition(g: Graph) -> TreeDecomposition:
     n = g.n
     if n == 0:
         return TreeDecomposition([frozenset()], [])
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = adjacency(g)
     nn = n * n  # one unit of fill in a key
 
     def key(v: int) -> int:

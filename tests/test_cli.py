@@ -432,6 +432,17 @@ def test_a_model_of_equal_points_exits_2_at_the_first_pair(tmp_path, capsys, mon
     assert "coincident points for vertices 0 and 1" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "graph text must start with 'n m'"),
+    ("-1 0", "negative vertex count -1"),
+])
+def test_a_malformed_graph_header_exits_2(tmp_path, capsys, text, message):
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    err = _exits_2_with_one_error_line(capsys, ["reduce", "--in", str(src)])
+    assert err.endswith(f"{message}\n")
+
+
 @pytest.mark.parametrize("command", ["reduce", "solve"])
 def test_a_graph_over_the_vertex_ceiling_exits_2(tmp_path, capsys, monkeypatch, command):
     # 13 bytes naming 3e9 vertices: refused while parsing, before any work

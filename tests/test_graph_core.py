@@ -5,7 +5,7 @@ import random
 import pytest
 
 from udgcut.errors import InputError
-from udgcut.graph_core import (MAX_VERTICES, complete_graph, cut_size,
+from udgcut.graph_core import (MAX_VERTICES, adjacency, complete_graph, cut_size,
                                cycle_graph, disjoint_union, format_graph_text, graph,
                                max_degree, parse_graph_text, path_graph,
                                petersen_graph, random_graph, subdivide_edge_twice,
@@ -47,6 +47,18 @@ def test_graph_constructor_validates():
     assert graph(3, [(0, 1), (1, 0)]).m == 1
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0.5, 1)], "edge endpoint must be an integer, got 0.5"),
+    (3, [(True, 2)], "edge endpoint must be an integer, got True"),
+    (3, [(0, 1), (2, 1.0)], "edge endpoint must be an integer, got 1.0"),
+    (2.5, [], "vertex count must be an integer, got 2.5"),
+])
+def test_graph_rejects_non_integers(n, edges, message):
+    with pytest.raises(InputError) as info:
+        graph(n, edges)
+    assert str(info.value) == message
+
+
 def test_subdivide_single_edge_gives_path():
     g = subdivide_edge_twice(graph(2, [(0, 1)]), (0, 1))
     assert g.n == 4 and g.m == 3
@@ -83,7 +95,7 @@ def test_random_subdivision_replaces_edges_by_paths():
         assert 5 <= sub.n <= max(5, max_n)
         # each added vertex sits inside one path: one more vertex, one more edge
         assert sub.m == k5.m + sub.n - 5
-        assert all(sub.degree(v) == 2 for v in range(5, sub.n))
+        assert all(len(nbrs) == 2 for nbrs in adjacency(sub)[5:])
     assert subdivide_randomly(rng, k5, max_n=5) == k5
 
 
