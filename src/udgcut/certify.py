@@ -137,6 +137,22 @@ def check_reduction_identity(seed: int) -> CheckResult:
     return CheckResult(name, True, f"{len(cases)} instances (4 named)")
 
 
+def check_kernel_certificate() -> CheckResult:
+    """The kernel certificate of mc(U) = mc(G) + 8k + t, which reduce checks
+    on every output (validate_reduction), on random graphs with 40 and 64
+    vertices: there U(G) has width 27 and 34, past the DP's ceiling."""
+    name = "kernel certificate (8k + t)"
+    sizes = []
+    for n in (40, 64):
+        g = random_graph(random.Random(n), n, 0.5, 4)
+        try:
+            r = reduce(g)
+        except ConstructionError as exc:
+            return _fail(name, f"n={n}: {exc}", {"graph": format_graph_text(g)})
+        sizes.append(f"n={n} k={r.k} t={r.t} N={r.result.n}")
+    return CheckResult(name, True, "; ".join(sizes))
+
+
 def check_precise_models_planar() -> CheckResult:
     """The identity behind the planarity lemma (see udg_model) for edges ab
     and cd crossing at O, with x1 = |Oa|, x2 = |Ob|, y1 = |Oc|, y2 = |Od| and
@@ -202,6 +218,7 @@ def run_all(seed: int) -> list[CheckResult]:
         check_gadget_plus_eight(seed + 1),
         check_gadget_negative_control(),
         check_reduction_identity(seed + 2),
+        check_kernel_certificate(),
         check_precise_models_planar(),
         check_oracle_agreement(seed + 4),
     ]

@@ -20,15 +20,15 @@ from .errors import InputError
 Edge = tuple[int, int]
 
 # The most vertices a graph file may name.  On an edgeless graph, the
-# cheapest input of its size, `reduce` is near-linear: 0.02-0.03 s at 1 000
-# vertices, 0.05-0.06 s at 2 000 and 0.25-0.26 s at 8 000 (three runs each,
-# Python 3.11.7, 2 vCPUs).  With edges the time follows the size of U(G),
-# which grows with the drawing's crossings and route lengths:
-# cycle_graph(300) takes 0.63-0.79 s and cycle_graph(1000) 1.9-2.8 s, most
-# of it building U(G) and validate_model; the drawing checks, a sweep, take
-# 0.04-0.06 s and 0.14-0.21 s of that.  With the collector running in
-# reduce, the same runs took 0.30 s at 8 000 and 3.3-3.8 s on
-# cycle_graph(1000).
+# cheapest input of its size, `reduce` is near-linear: 0.013-0.014 s at
+# 1 000 vertices, 0.027-0.029 s at 2 000 and 0.12-0.14 s at 8 000 (three
+# runs each, Python 3.11.7, 2 vCPUs).  With edges the time follows the size
+# of U(G), which grows with the drawing's crossings and route lengths:
+# cycle_graph(300) (N = 49 906) takes 0.46-0.49 s and cycle_graph(1000)
+# (N = 166 806) 2.0-2.5 s, most of it building U(G), validate_model and the
+# kernel certificate (0.13 s and 0.49-0.52 s); the drawing checks, a sweep,
+# take 0.035 s and 0.20-0.21 s.  With the collector running in reduce, the
+# same runs took 0.13-0.14 s at 8 000 and 2.4-2.9 s on cycle_graph(1000).
 MAX_VERTICES = 8000
 
 

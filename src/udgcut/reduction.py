@@ -4,7 +4,8 @@ the maximum cut moves by exactly 8k + t (k crossings, t subdivision
 vertices), so mc(G) is recoverable from mc(U(G)).
 
 Steps, in construction order:
-  1. standard mesh drawing;
+  1. standard mesh drawing, with occupied parallel lines at least
+     drawing.SPACING = 6 mesh units apart (the paper uses 10);
   2. per edge, one walk over its route lays out the path in final form:
      every interior mesh cross is a subdivision vertex, except where the edge
      is the horizontal one of a crossing, whose point and two flanks give way
@@ -16,6 +17,12 @@ Steps, in construction order:
   4. per original edge with an odd subdivision count, bend one straight
      horizontal unit edge into a two-edge detour through a fresh apex,
      restoring even parity.
+
+validate_reduction checks every output, and certifies its cut identity
+with the chain-rule kernel (kernel.kernelize): eliminating every vertex but
+G's must leave exactly G at weight 1 and the constant 8k + t.  That
+certificate, not the paper's spacing argument, is what the identity rests
+on at spacing 6.
 
 U(G) is built in three lists indexed by vertex id: points, provenance and
 adjacency sets.  Ids are handed out in creation order, G's vertices first;
@@ -40,6 +47,7 @@ from .errors import ConstructionError, InconsistencyError, InputError, Precondit
 from .gadget import GadgetInstance, build_H, construct_H_on, h_model
 from .geometry import SCALE, Point
 from .graph_core import Edge, Graph, disjoint_union, graph, pause_gc
+from .kernel import kernelize
 from .udg_model import ProximityModel, precision2, validate_model
 
 ROLE_ORIGINAL = "original"
@@ -290,7 +298,9 @@ def _apply_parity_detour(points: list[Point], prov: list[Provenance],
 
 
 def validate_reduction(r: ReductionOutput):
-    """Internal consistency of a ReductionOutput; raises ConstructionError."""
+    """Internal consistency of a ReductionOutput, and the certificate of its
+    cut identity mc(U(G)) = mc(G) + 8k + t by the chain-rule kernel; raises
+    ConstructionError."""
     try:
         report = validate_model(r.model)
     except InputError as exc:  # two vertices on one point
@@ -319,6 +329,14 @@ def validate_reduction(r: ReductionOutput):
     # each path vertex counts once in t, and each gadget adds four w's
     if r.result.n != r.source.n + r.t + 4 * r.k:
         raise ConstructionError(f"N = {r.result.n}, not n + t + 4k = {r.source.n + r.t + 4 * r.k}")
+    # the cut identity: eliminating every vertex but G's leaves exactly G at
+    # weight 1 and the constant 8k + t
+    residual, const = kernelize(r.result.n, dict.fromkeys(r.result.edges, 1), r.source.n)
+    wrong = sorted(residual.items() ^ dict.fromkeys(r.source.edges, 1).items())
+    if wrong:
+        raise ConstructionError(f"kernel of U(G) is not G at weight 1: pairs {wrong[:3]} differ")
+    if const != 8 * r.k + r.t:
+        raise ConstructionError(f"kernel constant {const}, not 8k + t = {8 * r.k + r.t}")
 
 
 def recover_mc(mc_u: int, k: int, t: int) -> int:

@@ -35,6 +35,7 @@ from operator import add, sub
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from .graph_core import Cut, Graph, adjacency, canon_edge, pause_gc
+from .kernel import add_weight, chain_rule
 
 DEFAULT_BRUTE_LIMIT = 26
 # Below this many vertices brute force walks in one process.  A fork, a
@@ -48,14 +49,14 @@ SPLIT_MIN_VERTICES = 18
 _RESULT = struct.Struct("<qq")
 # A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
 # is a memory bound.  DP on the min-fill decomposition of the grid P_3k x P_k
-# (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.20-0.21 s
-# and 18 MB of process maxrss, 16 (k = 12) in 1.9-2.0 s and 35 MB, 20
-# (k = 14) in 14-16 s and 210 MB; an earlier single run took 78 s and 3.0 GB
-# at width 24.  Pausing the collector saves little here: with it running the
-# same runs took 0.20-0.21 s, 1.7-1.9 s and 13-15 s.  The reduce outputs of
-# random degree-4 graphs with n = 14, 24 and 32 have width 13, 15 and 15;
-# `solve` takes 0.24-0.33 s, 0.65-0.81 s and 0.99-1.00 s and 28, 45 and
-# 55 MB on them.
+# (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.12-0.17 s
+# and 18 MB of process maxrss, 16 (k = 12) in 1.1-1.2 s and 36 MB, 20
+# (k = 14) in 9-12 s and 210-222 MB; an earlier single run took 78 s and
+# 3.0 GB at width 24.  Pausing the collector saves little here: with it
+# running the same runs took 0.10-0.11 s, 1.2-1.5 s and 8.7-9.2 s.  The
+# reduce outputs of random degree-4 graphs with n = 14, 24 and 32
+# (N = 7 188, 15 738 and 19 626) have width 13, 15 and 15; `solve` takes
+# 0.11-0.18 s, 0.39-0.53 s and 0.50-0.64 s and 24, 36 and 39 MB on them.
 DEFAULT_WIDTH_LIMIT = 20
 
 
@@ -467,16 +468,6 @@ def _projection(bag: list[int], onto: list[int]) -> list[int]:
     return proj
 
 
-def _add_weight(w: list[dict[int, int]], a: int, b: int, d: int) -> None:
-    """Adds d to the weight of pair ab, dropping a pair whose weight is 0."""
-    if d:
-        s = w[a].get(b, 0) + d
-        if s:
-            w[a][b] = w[b][a] = s
-        else:
-            del w[a][b], w[b][a]
-
-
 @pause_gc
 def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
                          max_width: int = DEFAULT_WIDTH_LIMIT) -> int:
@@ -486,10 +477,8 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
     children; a vertex is forgotten at the highest bag that holds it.  The
     terms not yet counted are a constant plus integer weights on vertex
     pairs, starting as g's edges at weight 1.  A bag that forgets one vertex
-    v with at most two weighted neighbours, and receives no table, forgets v
-    by the chain rule: with neighbour weights w1 and w2 it adds
-    c = max(0, w1 + w2) to the constant and max(w1, w2) - c to the pair of
-    v's neighbours, dropping a pair whose weight reaches 0, so no stored
+    v with at most two weighted neighbours, all in the bag, and receives no
+    table, forgets v by the chain rule (kernel.chain_rule), so no stored
     weight is 0.  Any other bag builds a table over the side masks of its
     vertices from the weights of its forgotten vertices and the tables of
     its children, and takes the max over the forgotten vertices.  A table
@@ -545,29 +534,9 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
         if len(gone) == 1 and x not in inbox:
             (v,) = gone
             wv = w[v]
-            if len(wv) == 2 and not forgotten[v]:
-                (a, w1), (b, w2) = wv.items()
-                if a in bag and b in bag:
-                    # the chain rule
-                    forgotten[v] = True
-                    wa, wb = w[a], w[b]
-                    del wa[v], wb[v]
-                    if w1 + w2 > 0:
-                        const += w1 + w2
-                        # max(-w1, -w2) is max(w1, w2) - (w1 + w2)
-                        w1, w2 = -w1, -w2
-                    d = wa.get(b, 0) + (w1 if w1 > w2 else w2)
-                    if d:
-                        wa[b] = wb[a] = d
-                    else:
-                        del wa[b], wb[a]
-                    continue
-            elif len(wv) < 2 and not forgotten[v] and wv.keys() <= bag:
+            if len(wv) <= 2 and not forgotten[v] and wv.keys() <= bag:
                 forgotten[v] = True
-                if wv:
-                    (a, w1), = wv.items()
-                    del w[a][v]
-                    const += max(0, w1)
+                const += chain_rule(w, v)
                 continue
         for v in gone:
             if forgotten[v]:
@@ -599,7 +568,7 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
         else:
             const += table[0]
             if len(shared) == 2:
-                _add_weight(w, *shared, table[1] - table[0])
+                add_weight(w, *shared, table[1] - table[0])
     stray = [] if all(forgotten) else [e for e in g.edges if not forgotten[e[0]]]
     if stray:
         raise InputError(f"edge {min(stray)} lies in no bag")

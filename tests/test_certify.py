@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import udgcut.certify as certify
+from udgcut.errors import ConstructionError
 from udgcut.graph_core import parse_graph_text
 from udgcut.udg_model import ModelReport, ProximityModel
 
@@ -16,6 +17,10 @@ _real_construct_H_on = certify.construct_H_on
 def _checked_but_unplanted(g, e1, e2):
     _real_construct_H_on(g, e1, e2)  # keeps the precondition
     return g, None
+
+
+def _kernel_rejects(g):
+    raise ConstructionError("kernel constant 0, not 8k + t = 1")
 
 
 # (suite, its name, the oracle it calls through udgcut.certify, a broken
@@ -31,6 +36,8 @@ FAULTS = {
                        "max_cut_bruteforce", lambda g: (12 if g.n == 8 else 4, None), None),
     "wrong mc(G)": (lambda: certify.check_reduction_identity(2), "reduction identity (8k + t)",
                     "max_cut_bruteforce", lambda g: (-1, None), None),
+    "kernel rejects": (certify.check_kernel_certificate, "kernel certificate (8k + t)",
+                       "reduce", _kernel_rejects, None),
     "boundary without crossing": (certify.check_precise_models_planar,
                                   "precision above 1/sqrt(2) is planar",
                                   "straight_line_crossings", lambda m: [], None),

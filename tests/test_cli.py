@@ -18,8 +18,8 @@ from udgcut.gadget import h_model
 from udgcut.geometry import pairs_within
 from udgcut.graph_core import (complete_graph, format_graph_text, graph, path_graph,
                                random_graph)
-from udgcut.reduction import ROLE_ORIGINAL, to_json
-from udgcut.solvers import max_cut_bruteforce
+from udgcut.reduction import ROLE_ORIGINAL, load_output_json, to_json
+from udgcut.solvers import greedy_tree_decomposition, max_cut_bruteforce
 
 
 @pytest.fixture
@@ -139,7 +139,8 @@ def test_solve_takes_a_width_13_model_within_the_dp_ceiling(tmp_path, capsys):
     src, out = tmp_path / "g.txt", tmp_path / "g.json"
     src.write_text(format_graph_text(g))
     assert main(["reduce", "--in", str(src), "--out", str(out)]) == 0
-    assert "vertices=10820 " in capsys.readouterr().out
+    assert "vertices=7188 " in capsys.readouterr().out
+    assert greedy_tree_decomposition(load_output_json(out.read_text()).model.graph).width == 13
     assert _recovered_mc(capsys, out) == max_cut_bruteforce(g)[0]
 
 
@@ -195,7 +196,7 @@ def test_certify_passes_every_suite_on_another_seed(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
 
 
 def test_missing_file_exits_2():
@@ -284,7 +285,7 @@ def test_certify_reports_a_negative_cut_identity_with_the_graph(capsys, monkeypa
     assert json.loads(res.counterexample)["graph"] == format_graph_text(complete_graph(4))
     assert main(["certify"]) == 1
     out = capsys.readouterr().out
-    assert out.count("\n") == 9   # seven suite lines, two of them with a counterexample
+    assert out.count("\n") == 10   # eight suite lines, two of them with a counterexample
     assert "FAIL reduction identity (8k + t): K4: mc_u=0 smaller than" in out
 
 

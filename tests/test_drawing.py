@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udgcut.drawing
-from udgcut.drawing import (CORRIDORS, Crossing, MeshDrawing,
+from udgcut.drawing import (CORRIDORS, SPACING, Crossing, MeshDrawing,
                             _axis_lines, _meetings, _placement_order,
                             crossings, mesh_draw, standardize,
                             validate_drawing, validate_standard)
@@ -124,10 +124,10 @@ def test_standardize_preserves_the_abstract_graph():
 
 
 def test_standardize_separates_close_vertices():
-    # two vertices 3 apart on a shared column: one shift puts them >= 10 apart
+    # two vertices 3 apart on a shared column: one shift puts them SPACING apart
     d = MeshDrawing(graph(2), {0: Point.mesh(0, 0), 1: Point.mesh(0, 3)}, {})
     out = standardize(d)
-    assert abs(out.placement[0].yu - out.placement[1].yu) >= 10 * SCALE
+    assert abs(out.placement[0].yu - out.placement[1].yu) >= SPACING * SCALE
 
 
 def _close_crossings_drawing() -> MeshDrawing:
@@ -184,7 +184,7 @@ def _validate_standard_by_all_pairs(d: MeshDrawing, xreport) -> dict[str, tuple]
     witnesses: dict[str, tuple] = {}
 
     def far(p: Point, q: Point) -> bool:
-        return dist2_units(p, q) >= 100 * SCALE * SCALE
+        return dist2_units(p, q) >= (SPACING * SCALE) ** 2
 
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -208,7 +208,7 @@ def _validate_standard_by_all_pairs(d: MeshDrawing, xreport) -> dict[str, tuple]
                 carrier_cols.add(p.xu)
     for lines, name in ((sorted(carrier_rows), "rows"), (sorted(carrier_cols), "cols")):
         for a, b in zip(lines, lines[1:]):
-            if b - a < 10 * SCALE:
+            if b - a < SPACING * SCALE:
                 witnesses.setdefault(f"parallel_{name}", (a, b))
     return witnesses
 

@@ -25,24 +25,24 @@ from udgcut.udg_model import (ProximityModel, precision2, random_precise_model,
 # greedy_tree_decomposition(reduce(g).result))
 GOLDEN = {
     "K4": (lambda: complete_graph(4),
-           "6d0792d2a895d6769cb87df8cd0743fe4821a17f0cdb359bf615e0d274210a69",
-           "5ab52880d49561f23adb19f9f7738a256bb9b774068a6ddb526dfdb0ad75f620"),
+           "dbb09fe08ea088020c95b064f6b15b84029b2024e10e60a5c182dfb6242edfc8",
+           "691793c52e8b91422492cf72f77aeb03f2eb3cdaead3c20304eec7ac346d2910"),
     "K5": (lambda: complete_graph(5),
-           "888ddbb1c0fbe20909a07a3140be598443db8238707bc2d2c73ae0b43a88d6a3",
-           "9005f7fce1969e6ca9fe34ebc515383d2b3ee357532987bab8607e080ff9a680"),
+           "0ef3f5bb26ceb2cdf3565d7ad523efdba883dda4cd9990984d2058e8b538ac42",
+           "9b78a639b74c9541bcb6626b1f0cb789781e153fd135e9e9a0c1937c689bcb05"),
     "C5": (lambda: cycle_graph(5),
-           "e543c53ba15d2f45af3dabd1d6166a4a130698c81d7c256c0963bac13592d828",
-           "fbf5a7e477e51515975f736b61cea306d0a413608120534a9e099734e00058bd"),
+           "820f9d2243eb37b39ed07e8a7310dfbabfa6255c5dc19ea260ceaa005560fb5f",
+           "2b117467b2ea5e933d8986f44b1c3a8d63f804d8b538196b91e9197364515d58"),
     "Petersen": (petersen_graph,
-                 "0422e2bab32e963dc9b71d780a3762caa9884be3b87526c25a991a11e8a83dd0",
-                 "84dd703b8cd125d4644112d31e7f7f1a9e6d2a78bc055cdfeb777155ad88b100"),
+                 "3787cc0bc5c98d65a8e99fab29bc6d4a35de09f04d1c0c025028d0b7a6a3292c",
+                 "3e3050ac129089524e25af2f8b197f421c149faa78fa76e9dc15f9ce61891194"),
     "random8": (lambda: random_graph(random.Random(8), 8, 0.5, 4),
-                "40e536f39f8a778cbbda359994413444c5eb36294987e4b6ce858ce513a6ae81",
-                "d815f0b87b29c294990638d93e4133a1d495d2ca788831966ef41c6ecfdd6548"),
-    # k = 93 crossings, N = 11 606 model vertices
+                "4e8063d5c3357e0d88ac577f994c765269f7c79f982388f070893ed106f935c3",
+                "5abc0840b9cb4102828817bba09bb1b4db8d67516ba7f2789f76471715f0d6b4"),
+    # k = 93 crossings, N = 7 714 model vertices
     "random16": (lambda: random_graph(random.Random(16), 16, 0.5, 4),
-                 "2cded4e3a888302e70092f9a52aca45ca1d4e7e8a9bd9110d3145d95efe9f29b",
-                 "3aa1b5bdc141ab2c69a44758744cd7f8e6d231dab2414a05c3f9a6e907dcad0a"),
+                 "3678a11ae2e7e29350eab44aa9862fbdef04825ffd5bca0d31fce1c39fbed254",
+                 "071fe41aaddd8793cf9b9b7f8a623495be43bd2d93cbb95918f9dd38be29fe09"),
 }
 
 
@@ -65,10 +65,10 @@ def test_reduce_output_is_byte_identical(label):
 
 # label: SHA-256 of the SVG that `render` draws from to_json(reduce(g))
 SVG_GOLDEN = {
-    "K4": "bc64e0b5ce5e4870216587c661f95211303ec925578f30fdc9853e85b36501c0",
-    "K5": "5b2c8fd90f355435bf8b5dd73ef6b05cca63f6e9103cd01a0b47b55c87796d9d",
-    "C5": "363b9550618d92db793a68294b311013bd2ca0f6d38409a2308855aaff3a108e",
-    "Petersen": "4c921cd976cfb4bf5f5ac26be7d7bf35c6f6829123de1136bf4d5b31cc2c29e8",
+    "K4": "2e18cdc9cacb92a505a974ee6d1e97d29339a065b1666cd1e7b03c6fd634eee2",
+    "K5": "90b072d6b730134ff85ed7b23e9974b7139b92baea66caf4f1b3dd522b33ce5f",
+    "C5": "ffb5cd379e1bc342cad4b86f4c41d8110939ebbab6fe280ecfb56c7c0daa6424",
+    "Petersen": "e32b6fff3910c4d12ea6b95d1be1a097f0c17ff1b467cc29de2f37cab25199da",
 }
 
 
@@ -87,7 +87,7 @@ def test_reduce_outputs_on_random_graphs_are_identical():
         g = random_graph(rng, n, p=rng.uniform(0.05, 1.0), max_deg=4)
         running.update(to_json(reduce(g)).encode("utf-8"))
     assert running.hexdigest() == (
-        "7838d23eeb9af6be12f8ba0952664bbbbf96950576f1b24ad7adac53be4b818e")
+        "b9494ee4882d08bb8b2c916f6df24b4d237645ab8e001119336bf6c990af166b")
 
 
 def test_decompositions_of_random_graphs_are_identical():
@@ -139,7 +139,7 @@ def test_model_reports_are_identical():
         added = Graph(model.graph.n, model.graph.edges | {(u, v)})
         running.update(_model_report_json(ProximityModel(added, model.points)).encode("utf-8"))
     assert running.hexdigest() == (
-        "647f934365f2819c3d94133535c732d08b70f5de8292a6aa2cc04ff45c381bf6")
+        "aa1c2551c42c52b55ba8e122cf6734b58de36adabbe350287fd176b81782d666")
 
 
 def _answer_json(result) -> str:

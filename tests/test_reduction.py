@@ -293,6 +293,9 @@ def test_validate_reduction_accepts_all_outputs():
 
 
 def _k5_with_one_fault(fault):
+    if fault == "swapped source":  # the same model, but of the 4-cycle 0-2-1-3
+        return dataclasses.replace(reduce(cycle_graph(4)),
+                                   source=graph(4, [(0, 2), (1, 2), (1, 3), (0, 3)]))
     if fault == "swapped model":
         r = reduce(graph(4, [(0, 1), (2, 3)]))
         return dataclasses.replace(r, model=reduce(graph(2, [(0, 1)])).model,
@@ -313,6 +316,9 @@ def _k5_with_one_fault(fault):
             r.result, points[:-1] + points[-2:-1])),
         "even count": dict(per_edge_subdivisions={
             **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 2}),
+        # one gadget record fewer and four more path vertices keep N
+        "traded gadget": dict(gadgets=r.gadgets[1:], per_edge_subdivisions={
+            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 4}),
         "rotated gadget": dict(gadgets=[dataclasses.replace(
             inst, v_ids=inst.v_ids[1:] + inst.v_ids[:1])] + r.gadgets[1:]),
     }
@@ -324,14 +330,29 @@ def _k5_with_one_fault(fault):
     ("odd count", "odd per-edge subdivision count"),
     ("close points", "precision2 1/4 below 1/2"),
     ("loose points", "not tight despite k >= 1"),
-    ("coincident points", "coincident points for vertices 2541 and 2542"),
+    ("coincident points", "coincident points for vertices 1685 and 1686"),
     ("rotated gadget", "is not a copy of H"),
-    ("swapped model", "1 provenance entries, 78 vertices"),
-    ("even count", "N = 2543, not n"),
+    ("swapped model", "1 provenance entries, 54 vertices"),
+    ("even count", "N = 1687, not n"),
+    ("traded gadget", r"kernel constant 1770, not 8k \+ t = 1766"),
+    ("swapped source", r"kernel of U\(G\) is not G at weight 1: pairs \[\(\(0, 1\), 1\)"),
 ])
 def test_validate_reduction_rejects_each_fault(fault, words):
     with pytest.raises(ConstructionError, match=words):
         validate_reduction(_k5_with_one_fault(fault))
+
+
+def test_every_atlas_graph_up_to_six_vertices_carries_the_kernel_certificate():
+    # the graphs of An Atlas of Graphs (Read and Wilson) that reduce accepts
+    # with 1-6 vertices; validate_reduction, run by reduce, checks each one's
+    # kernel against G and 8k + t
+    import networkx as nx
+
+    atlas = [g for g in nx.graph_atlas_g()
+             if 1 <= g.number_of_nodes() <= 6 and max(d for _, d in g.degree()) <= 4]
+    assert len(atlas) == 174
+    for g in atlas:
+        reduce(graph(g.number_of_nodes(), list(g.edges())))
 
 
 def test_random_identity_suite():
@@ -377,8 +398,7 @@ def test_an_unstandardized_drawing_fails_the_standardness_gate(monkeypatch):
         reduce(complete_graph(5))
     assert str(info.value) == (
         "standardization failed: "
-        "{'crossing_pairs': (Point(xu=0, yu=20), Point(xu=100, yu=120)), "
-        "'vertex_pairs': (Point(xu=0, yu=0), Point(xu=120, yu=120)), "
+        "{'crossing_pairs': (Point(xu=100, yu=120), Point(xu=100, yu=140)), "
         "'vertex_crossing': (Point(xu=0, yu=0), Point(xu=0, yu=20)), "
         "'parallel_rows': (-40, -20), 'parallel_cols': (-40, 0)}")
 
@@ -396,8 +416,8 @@ def test_an_invalid_drawing_fails_the_drawing_gate(monkeypatch):
         reduce(graph(4, [(0, 1), (2, 3)]))
     assert str(info.value) == (
         "standardized drawing invalid: ["
-        "'route (0, 1) passes through vertex 2 at Point(xu=300, yu=0)', "
-        "'route (2, 3) passes through vertex 1 at Point(xu=600, yu=0)', "
+        "'route (0, 1) passes through vertex 2 at Point(xu=220, yu=0)', "
+        "'route (2, 3) passes through vertex 1 at Point(xu=440, yu=0)', "
         "'routes (0, 1) and (2, 3) overlap collinearly']")
 
 
