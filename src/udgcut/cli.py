@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the certification suites")
     p_cert.add_argument("--seed", type=int, default=0,
-                        help="picks the random sample of every suite")
+                        help="picks the sample of the two sampled suites (the "
+                             "identity through the DP, dp = brute)")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

@@ -26,9 +26,9 @@ def _kernel_rejects(g):
 # (suite, its name, the oracle it calls through udgcut.certify, a broken
 # stand-in, the counterexample key of the oracle's further arguments)
 FAULTS = {
-    "no +2": (lambda: certify.check_double_subdivision(0), "double-subdivision (+2)",
-              "subdivide_edge_twice", lambda g, e: g, "edge"),
-    "no +8": (lambda: certify.check_gadget_plus_eight(1), "gadget construction (+8)",
+    "no +2": (certify.check_double_subdivision, "double-subdivision (+2)",
+              "subdivide_edge_twice", lambda g, e: g, "edges"),
+    "no +8": (certify.check_gadget_plus_eight, "gadget construction (+8)",
               "construct_H_on", _checked_but_unplanted, "edges"),
     "K4 accepted": (certify.check_gadget_negative_control, "gadget negative control (K4)",
                     "construct_H_on", lambda g, e1, e2: (g, None), "edges"),
@@ -70,7 +70,15 @@ def test_a_broken_oracle_fails_its_suite_with_the_input_named(monkeypatch, fault
         assert [tuple(p) for p in cex["points"]] == [(p.xu, p.yu) for p in checked.points]
     else:
         assert parse_graph_text(cex["graph"]) == checked
-    if more == "edge":
-        assert tuple(cex["edge"]) == rest[0]
-    elif more == "edges":
+    if more == "edges":
         assert [tuple(e) for e in cex["edges"]] == rest
+
+
+def test_a_broken_surgery_fails_its_proof_with_the_kernel_it_left(monkeypatch):
+    # the edge uv kept, but nothing added: the kernel is the bare host + 0
+    monkeypatch.setattr(certify, "subdivide_edge_twice", lambda g, e: g)
+    res = certify.check_double_subdivision()
+    assert res.line() == ("FAIL double-subdivision (+2): "
+                          "kernel keeps [((0, 1), 1)] + 0, not the host + 2")
+    assert json.loads(res.counterexample) == {
+        "graph": "2 1\n0 1\n", "edges": [[0, 1]], "residual": [[[0, 1], 1]], "constant": 0}

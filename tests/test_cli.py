@@ -289,11 +289,25 @@ def test_certify_reports_a_negative_cut_identity_with_the_graph(capsys, monkeypa
     assert "FAIL reduction identity (8k + t): K4: mc_u=0 smaller than" in out
 
 
-def test_certify_double_subdivision_counts_the_draws_it_checks():
-    from udgcut.certify import check_double_subdivision
-    # 16 of the 200 seed-0 draws have no edge and are skipped
-    assert check_double_subdivision(0).line() == (
-        "PASS double-subdivision (+2): 184 random instances")
+def test_certify_proves_both_lemmas_for_every_host():
+    from udgcut.certify import check_double_subdivision, check_gadget_plus_eight
+    assert check_double_subdivision().line() == (
+        "PASS double-subdivision (+2): proved for every host: the kernel is the host + 2")
+    assert check_gadget_plus_eight().line() == (
+        "PASS gadget construction (+8): proved for every host: the kernel is the host + 8")
+
+
+def test_certify_prints_the_same_proofs_on_every_seed(capsys):
+    # only the identity through the DP and the dp = brute cross-check sample
+    lines = []
+    for seed in (0, 1):
+        assert main(["certify", "--seed", str(seed)]) == 0
+        lines.append(capsys.readouterr().out.splitlines())
+    sampled = ("PASS reduction identity (8k + t): ", "PASS oracle cross-check (dp = brute): ")
+    assert len(lines[0]) == len(lines[1]) == 8
+    for a, b in zip(*lines):
+        if not a.startswith(sampled):
+            assert a == b
 
 
 def test_certify_reports_the_dp_width_limit_with_the_graph(monkeypatch):

@@ -302,7 +302,6 @@ def _k5_with_one_fault(fault):
                                    provenance=r.provenance[:1])
     r = reduce(complete_graph(5))
     e = min(r.per_edge_subdivisions)
-    inst = r.gadgets[0]
     points = r.model.points
     faults = {
         "missing edge": dict(model=ProximityModel(
@@ -319,19 +318,16 @@ def _k5_with_one_fault(fault):
         # one gadget record fewer and four more path vertices keep N
         "traded gadget": dict(gadgets=r.gadgets[1:], per_edge_subdivisions={
             **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 4}),
-        "rotated gadget": dict(gadgets=[dataclasses.replace(
-            inst, v_ids=inst.v_ids[1:] + inst.v_ids[:1])] + r.gadgets[1:]),
     }
     return dataclasses.replace(r, **faults[fault])
 
 
 @pytest.mark.parametrize("fault, words", [
     ("missing edge", "model invalid: missing="),
-    ("odd count", "odd per-edge subdivision count"),
+    ("odd count", r"N = 1687, not n \+ t \+ 4k = 1688"),
     ("close points", "precision2 1/4 below 1/2"),
     ("loose points", "not tight despite k >= 1"),
     ("coincident points", "coincident points for vertices 1685 and 1686"),
-    ("rotated gadget", "is not a copy of H"),
     ("swapped model", "1 provenance entries, 54 vertices"),
     ("even count", "N = 1687, not n"),
     ("traded gadget", r"kernel constant 1770, not 8k \+ t = 1766"),
@@ -340,6 +336,31 @@ def _k5_with_one_fault(fault):
 def test_validate_reduction_rejects_each_fault(fault, words):
     with pytest.raises(ConstructionError, match=words):
         validate_reduction(_k5_with_one_fault(fault))
+
+
+_real_construct_H_on = udgcut.reduction.construct_H_on
+
+
+def _planted_with(change):
+    """construct_H_on with its edge set passed through change."""
+    def planted(g, e1, e2):
+        h, inst = _real_construct_H_on(g, e1, e2)
+        return dataclasses.replace(h, edges=change(h.edges)), inst
+    return planted
+
+
+# each fault a construction check against H or against per-edge parity once
+# caught: reduce still refuses it through the model, N or the kernel
+@pytest.mark.parametrize("target, stand_in, words", [
+    ("construct_H_on", _planted_with(lambda es: es - {(0, 4)}), "model invalid: missing="),
+    ("construct_H_on", _planted_with(lambda es: es | {(4, 6)}),
+     r"model invalid: missing=\[\] spurious=\[\("),
+    ("_apply_parity_detour", lambda *args: None, r"N = 1681, not n \+ t \+ 4k = 1687"),
+], ids=["apex edge dropped", "spurious gadget edge", "parity detour skipped"])
+def test_reduce_refuses_a_broken_gadget_or_detour(monkeypatch, target, stand_in, words):
+    monkeypatch.setattr(udgcut.reduction, target, stand_in)
+    with pytest.raises(ConstructionError, match=words):
+        reduce(complete_graph(5))
 
 
 def test_every_atlas_graph_up_to_six_vertices_carries_the_kernel_certificate():
