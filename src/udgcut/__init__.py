@@ -13,7 +13,7 @@ from .udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK, PLANAR_BY_THEOREM,
                         CrossingWitness, ModelReport, ProximityModel,
                         planarity_verdict, precision2, random_precise_model,
                         straight_line_crossings, validate_model)
-from .gadget import GadgetInstance, build_H, construct_H_on, h_model
+from .gadget import build_H, construct_H_on, h_model
 from .drawing import (Crossing, MeshDrawing, crossings, mesh_draw, standardize,
                       validate_drawing, validate_standard)
 from .kernel import kernelize

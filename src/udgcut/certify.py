@@ -66,7 +66,7 @@ def check_gadget_plus_eight() -> CheckResult:
     """Planting the gadget adds 8: each apex adds 2 and cancels the cycle
     edge it spans, which the precondition keeps out of the host."""
     return _prove_gain("gadget construction (+8)", [(0, 2), (1, 3)],
-                       lambda g: construct_H_on(g, (0, 2), (1, 3))[0], 8)
+                       lambda g: construct_H_on(g, (0, 2), (1, 3)), 8)
 
 
 def check_gadget_negative_control() -> CheckResult:

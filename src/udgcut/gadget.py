@@ -6,8 +6,6 @@ non-incident edges of a host graph, raising the maximum cut by exactly 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .geometry import Point
 from .graph_core import Graph, canon_edge, graph
@@ -16,15 +14,6 @@ from .udg_model import ProximityModel
 # Model offsets in 1/20 units: v's at (+-1/2, 0), (0, +-1/2); w's at (+-4/5, +-4/5).
 V_OFFSETS = ((10, 0), (0, 10), (-10, 0), (0, -10))
 W_OFFSETS = ((16, 16), (-16, 16), (-16, -16), (16, -16))
-
-
-@dataclass(frozen=True)
-class GadgetInstance:
-    """Bookkeeping for one planted copy of H inside a host graph."""
-
-    v_ids: tuple[int, int, int, int]
-    w_ids: tuple[int, int, int, int]
-    center: Point | None
 
 
 def build_H() -> Graph:
@@ -43,14 +32,14 @@ def h_model(center: Point = Point.mesh(0, 0)) -> ProximityModel:
     return ProximityModel(build_H(), tuple(pts))
 
 
-def construct_H_on(g: Graph, e1: tuple[int, int], e2: tuple[int, int]
-                   ) -> tuple[Graph, GadgetInstance]:
-    """Plant a copy of H on edges e1 = v0v2 and e2 = v1v3 of g.
+def construct_H_on(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
+    """g with a copy of H planted on its edges e1 = v0v2 and e2 = v1v3.
 
-    The tuples fix the cycle roles (v0, v2) and (v1, v3); fresh apexes
-    w0..w3 are appended in order.  Preconditions: both edges present, no
-    shared endpoint, and none of the four cycle edges v_i v_(i+1) already in
-    g (otherwise the +8 cut identity fails, e.g. on K4).
+    The tuples fix the cycle roles: v0..v3 are e1[0], e2[0], e1[1], e2[1]
+    and keep their ids, and the fresh apexes w0..w3 are g.n..g.n+3.
+    Preconditions: both edges present, no shared endpoint, and none of the
+    four cycle edges v_i v_(i+1) already in g (otherwise the +8 cut
+    identity fails, e.g. on K4).
     """
     v0, v2 = e1
     v1, v3 = e2
@@ -66,4 +55,4 @@ def construct_H_on(g: Graph, e1: tuple[int, int], e2: tuple[int, int]
                 f"requires it absent")
     ids = (v0, v1, v2, v3, g.n, g.n + 1, g.n + 2, g.n + 3)
     edges = g.edges | {canon_edge(ids[a], ids[b]) for a, b in build_H().edges}
-    return Graph(g.n + 4, edges), GadgetInstance(ids[:4], ids[4:], None)
+    return Graph(g.n + 4, edges)

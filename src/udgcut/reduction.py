@@ -38,13 +38,15 @@ that the pipeline leaves no cyclic garbage.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 
 from .drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
-from .gadget import GadgetInstance, construct_H_on, h_model
+from .gadget import construct_H_on, h_model
 from .geometry import SCALE, Point
 from .graph_core import Edge, Graph, disjoint_union, graph, pause_gc
 from .kernel import kernelize
@@ -68,21 +70,28 @@ class Provenance:
 
 @dataclass
 class ReductionOutput:
+    """U(G) as a model of G, with one Provenance record per vertex.  k, t and
+    the per-edge counts are derived from the records, the one witness of
+    the construction, so they cannot disagree with it."""
+
     source: Graph
     model: ProximityModel
     provenance: list[Provenance]  # by vertex id
-    per_edge_subdivisions: dict[Edge, int]
-    gadgets: list[GadgetInstance]
 
     @property
     def result(self) -> Graph:
         """U(G), the graph of the model."""
         return self.model.graph
 
-    @property
+    @cached_property
+    def per_edge_subdivisions(self) -> dict[Edge, int]:
+        """Path vertices per edge of G; an edge with none is not listed."""
+        return Counter(p.edge for p in self.provenance if p.edge is not None)
+
+    @cached_property
     def k(self) -> int:
-        """The crossing count: one gadget per crossing."""
-        return len(self.gadgets)
+        """The crossing count: the distinct crossings named by gadget apexes."""
+        return len({p.crossing for p in self.provenance if p.role == ROLE_GADGET_W})
 
     @property
     def t(self) -> int:
@@ -137,15 +146,13 @@ def reduce(g: Graph) -> ReductionOutput:
 
     # Step 3: the gadget on every crossing.
     node_at = {pt: nid for nid, pt in enumerate(points)}
-    planted = [_plant_gadget(points, prov, adj, node_at, cr.point) for cr in xreport]
+    for cr in xreport:
+        _plant_gadget(points, prov, adj, node_at, cr.point)
 
-    # Step 4: restore even parity per original edge.
-    per_edge: dict[Edge, int] = {}  # subdivision vertices on each edge
+    # Step 4: restore even parity per original edge (an odd count, an odd-length path).
     for e, path in paths.items():
-        per_edge[e] = len(path) - 2
-        if per_edge[e] % 2:
+        if len(path) % 2:
             _apply_parity_detour(points, prov, adj, path, e)
-            per_edge[e] += 1
 
     # the renumbering; the sort is stable, so equal points keep creation order
     order = list(range(g.n)) + sorted(range(g.n, len(points)), key=points.__getitem__)
@@ -155,11 +162,7 @@ def reduce(g: Graph) -> ReductionOutput:
     edges = frozenset((ra, remap[c]) for ra, a in enumerate(order) for c in adj[a]
                       if ra < remap[c])
     model = ProximityModel(Graph(len(order), edges), tuple(map(points.__getitem__, order)))
-    gadgets = []
-    for ids, center in planted:
-        new = [remap[nid] for nid in ids]
-        gadgets.append(GadgetInstance(tuple(new[:4]), tuple(new[4:]), center))
-    out = ReductionOutput(g, model, list(map(prov.__getitem__, order)), per_edge, gadgets)
+    out = ReductionOutput(g, model, list(map(prov.__getitem__, order)))
     validate_reduction(out)
     return out
 
@@ -211,15 +214,12 @@ def _path_points(e: Edge, route, sites: dict[Point, bool]) -> list[Point]:
 
 
 def _plant_gadget(points: list[Point], prov: list[Provenance], adj: list[set[int]],
-                  node_at: dict[Point, int], cp: Point
-                  ) -> tuple[tuple[int, ...], Point]:
+                  node_at: dict[Point, int], cp: Point):
     """Step 3: plant H on the two path edges through crossing cp, at the
     points of the gadget model centered half a unit above cp: v0..v3 are
     path vertices, w0..w3 new ones.  construct_H_on runs on the subgraph
-    induced by v0..v3, relabelled 0..3, and the edges it adds are linked.
-    Returns the ids of v0..w3 and the center."""
-    center = cp.translate(0, _HALF)
-    model_points = h_model(center).points
+    induced by v0..v3, relabelled 0..3, and the edges it adds are linked."""
+    model_points = h_model(cp.translate(0, _HALF)).points
     vs = []
     for pt in model_points[:4]:
         nid = node_at.get(pt)
@@ -229,14 +229,13 @@ def _plant_gadget(points: list[Point], prov: list[Provenance], adj: list[set[int
     local = Graph(4, frozenset((i, j) for i in range(4) for j in range(i + 1, 4)
                                if vs[j] in adj[vs[i]]))
     try:
-        planted, _ = construct_H_on(local, (0, 2), (1, 3))
+        planted = construct_H_on(local, (0, 2), (1, 3))
     except PreconditionError as exc:
         raise ConstructionError(f"gadget precondition failed at {cp}: {exc}") from exc
     ids = (*vs, *_add_vertices(points, prov, adj, model_points[4:],
                                Provenance(ROLE_GADGET_W, crossing=(cp.xu, cp.yu))))
     for i, j in sorted(planted.edges - local.edges):
         _link(adj, ids[i], ids[j])
-    return ids, center
 
 
 def _detour_site(points: list[Point], adj: list[set[int]], path: list[int]
@@ -372,7 +371,7 @@ def to_json(r: "ReductionOutput | ProximityModel") -> str:
     A bare model is written as its own source with no gadgets and no path
     vertices, so k = t = 0, and every vertex original."""
     if isinstance(r, ProximityModel):
-        r = ReductionOutput(r.graph, r, [Provenance(ROLE_ORIGINAL)] * r.graph.n, {}, [])
+        r = ReductionOutput(r.graph, r, [Provenance(ROLE_ORIGINAL)] * r.graph.n)
     parts: dict[int, str] = {}  # by id(): hashing a Provenance would cost more
     vertices = []
     for vid, (x, y), prov in zip(count(), r.model.points, r.provenance):

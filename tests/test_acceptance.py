@@ -64,7 +64,7 @@ def test_criterion_03_gadget_plus_eight_with_negative_control():
         if not pairs:
             continue
         e1, e2 = rng.choice(pairs)
-        result, _ = construct_H_on(g, e1, e2)
+        result = construct_H_on(g, e1, e2)
         assert max_cut_bruteforce(result)[0] == max_cut_bruteforce(g)[0] + 8
         checked += 1
     # negative control: K4 has the cycle edges, identity fails and is rejected

@@ -10,15 +10,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import udgcut
 from udgcut import errors
 from udgcut.cli import build_parser, main, model_svg
 from udgcut.gadget import h_model
 from udgcut.geometry import pairs_within
-from udgcut.graph_core import (complete_graph, format_graph_text, graph, path_graph,
-                               random_graph)
-from udgcut.reduction import ROLE_ORIGINAL, load_output_json, to_json
+from udgcut.graph_core import (complete_graph, cycle_graph, format_graph_text, graph,
+                               path_graph, random_graph)
+from udgcut.reduction import ROLE_ORIGINAL, load_output_json, reduce, to_json
 from udgcut.solvers import greedy_tree_decomposition, max_cut_bruteforce
 
 
@@ -484,6 +486,67 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, command, flags):
         f.format(missing=missing) for f in flags]
     err = _exits_2_with_one_error_line(capsys, argv)
     assert f"cannot write {missing}: " in err
+
+
+_C5_TOKENS = format_graph_text(cycle_graph(5)).split()
+_K4_MODEL_JSON = to_json(reduce(complete_graph(4)))
+# small integers keep every mutated graph within brute force's reach
+_TOKENS = st.sampled_from([str(i) for i in range(-1, 9)]
+                          + ["", "x", "1.5", "0x1", "\u0663"])
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 30), st.floats(),
+                    st.text(max_size=3), st.lists(st.integers(-1, 4), max_size=3),
+                    st.just({}))
+
+
+@st.composite
+def _mutated_graph_text(draw) -> str:
+    tokens = list(_C5_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        # most edits keep the token count, which any other edit breaks
+        action = draw(st.sampled_from(["replace", "replace", "replace", "delete", "insert"]))
+        if action == "insert" or i == len(tokens):
+            tokens.insert(i, draw(_TOKENS))
+        elif action == "delete":
+            del tokens[i]
+        else:
+            tokens[i] = draw(_TOKENS)
+    return " ".join(tokens)
+
+
+@st.composite
+def _mutated_model_json(draw) -> str:
+    """The K4 model JSON with 1-3 entries, anywhere in it, deleted or
+    replaced by a value of any JSON type."""
+    payload = json.loads(_K4_MODEL_JSON)
+    for _ in range(draw(st.integers(1, 3))):
+        node = payload
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+            elif draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = draw(_VALUES)
+                break
+    return json.dumps(payload)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_mutated_graph_text(), _mutated_model_json()))
+def test_every_command_answers_a_mutated_input_with_an_exit_code(tmp_path, text):
+    # the inputs a user can hand over: no exception may escape main, and
+    # every refusal is a validation failure (1) or a malformed input (2)
+    src = tmp_path / "in"
+    src.write_text(text)
+    for argv in (["reduce", "--out", str(tmp_path / "out.json")], ["solve"],
+                 ["solve", "--bisection"], ["render", "--out", str(tmp_path / "out.svg")]):
+        assert main([*argv, "--in", str(src)]) in (0, 1, 2)
 
 
 def _readme_usage_options() -> dict[str, set[str]]:

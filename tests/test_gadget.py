@@ -60,11 +60,12 @@ def test_h_model_translates():
 def test_construct_on_two_disjoint_edges_gives_h():
     g = disjoint_union(graph(2, [(0, 1)]), graph(2, [(0, 1)]))  # edges (0,1), (2,3)
     assert max_cut_bruteforce(g)[0] == 2
-    result, inst = construct_H_on(g, (0, 1), (2, 3))
+    result = construct_H_on(g, (0, 1), (2, 3))
     assert (result.n, result.m) == (8, 14)
     assert max_cut_bruteforce(result)[0] == 10
-    assert inst.v_ids == (0, 2, 1, 3)
-    assert inst.w_ids == (4, 5, 6, 7)
+    # v0..v3 = 0, 2, 1, 3 and w0..w3 = 4..7 span H's edges
+    relabel = (0, 2, 1, 3, 4, 5, 6, 7)
+    assert result.edges == {canon_edge(relabel[a], relabel[b]) for a, b in build_H().edges}
 
 
 def test_precondition_errors():
@@ -91,7 +92,7 @@ def test_plus_eight_on_random_precondition_satisfying_instances():
         if not pairs:
             continue
         e1, e2 = rng.choice(pairs)
-        result, _ = construct_H_on(g, e1, e2)
+        result = construct_H_on(g, e1, e2)
         assert max_cut_bruteforce(result)[0] == max_cut_bruteforce(g)[0] + 8
         done += 1
 
@@ -114,9 +115,9 @@ def test_every_max_cut_gives_each_triangle_exactly_two():
     """Each apex triangle {w_i, v_i, v_(i+1)} contributes exactly 2 edges to
     every maximum cut of the planted graph."""
     g = disjoint_union(graph(2, [(0, 1)]), graph(2, [(0, 1)]))
-    result, inst = construct_H_on(g, (0, 1), (2, 3))
+    result = construct_H_on(g, (0, 1), (2, 3))
     best = max_cut_bruteforce(result)[0]
-    vs, ws = inst.v_ids, inst.w_ids
+    vs, ws = (0, 2, 1, 3), (4, 5, 6, 7)  # v0..v3 = e1[0], e2[0], e1[1], e2[1]
     for mask in range(1 << (result.n - 1)):
         side = [0] + [(mask >> i) & 1 for i in range(result.n - 1)]
         if cut_size(result, side) != best:

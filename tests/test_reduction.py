@@ -7,6 +7,7 @@ import inspect
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,9 +114,10 @@ def test_route_walk_steps_are_exactly_one_unit():
 
 
 def test_provenance_origins_point_at_real_objects():
+    from udgcut.drawing import crossings, mesh_draw, standardize
     g = complete_graph(5)
     r = reduce(g)
-    centers = {(inst.center.xu, inst.center.yu - 10) for inst in r.gadgets}
+    points = {cr.point for cr in crossings(standardize(mesh_draw(g)))}
     for v in range(r.result.n):
         prov = r.provenance[v]
         if prov.role == ROLE_ORIGINAL:
@@ -124,12 +126,7 @@ def test_provenance_origins_point_at_real_objects():
             assert prov.edge in g.edges
         else:
             assert prov.role == ROLE_GADGET_W
-            # the recorded crossing sits half a unit below the gadget center
-            assert prov.crossing in centers
-    # every gadget's vertex ids carry consistent roles
-    for inst in r.gadgets:
-        for w in inst.w_ids:
-            assert r.provenance[w].role == ROLE_GADGET_W
+            assert prov.crossing in points
 
 
 def test_nonadjacent_pairs_are_strictly_farther_than_one():
@@ -164,13 +161,16 @@ def test_abstract_surgery_reconstruction():
 def test_gadget_layout_matches_the_model_offsets():
     from udgcut.gadget import V_OFFSETS, W_OFFSETS
     r = reduce(complete_graph(5))
-    assert r.gadgets
-    for inst in r.gadgets:
-        cx, cy = inst.center.xu, inst.center.yu
-        for vid, (dx, dy) in zip(inst.v_ids, V_OFFSETS):
-            assert r.model.points[vid] == (cx + dx, cy + dy)
-        for wid, (dx, dy) in zip(inst.w_ids, W_OFFSETS):
-            assert r.model.points[wid] == (cx + dx, cy + dy)
+    apexes: dict[tuple[int, int], set[Point]] = {}
+    for pt, prov in zip(r.model.points, r.provenance):
+        if prov.role == ROLE_GADGET_W:
+            apexes.setdefault(prov.crossing, set()).add(pt)
+    assert len(apexes) == r.k >= 1
+    on_model = set(r.model.points)
+    for (x, y), ws in apexes.items():
+        center = Point(x, y + _HALF)  # half a unit above the crossing
+        assert ws == {center.translate(dx, dy) for dx, dy in W_OFFSETS}
+        assert {center.translate(dx, dy) for dx, dy in V_OFFSETS} <= on_model
 
 
 def test_recover_mc_examples():
@@ -301,36 +301,43 @@ def _k5_with_one_fault(fault):
         return dataclasses.replace(r, model=reduce(graph(2, [(0, 1)])).model,
                                    provenance=r.provenance[:1])
     r = reduce(complete_graph(5))
-    e = min(r.per_edge_subdivisions)
     points = r.model.points
+    on_edge = Provenance(ROLE_SUBDIVISION, edge=min(r.source.edges))
+
+    def relabelled(pick, new):
+        return [new if pick(vid, p) else p for vid, p in enumerate(r.provenance)]
+
+    apexes = [vid for vid, p in enumerate(r.provenance) if p.role == ROLE_GADGET_W]
+    crossing = r.provenance[apexes[0]].crossing
     faults = {
         "missing edge": dict(model=ProximityModel(
             graph(r.result.n, r.result.edges - {min(r.result.edges)}), r.model.points)),
-        "odd count": dict(per_edge_subdivisions={
-            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 1}),
         "close points": dict(model=ProximityModel(
             graph(2, [(0, 1)]), (Point(0, 0), Point(_HALF, 0)))),
         "loose points": dict(model=reduce(graph(2, [(0, 1)])).model),
         "coincident points": dict(model=ProximityModel(
             r.result, points[:-1] + points[-2:-1])),
-        "even count": dict(per_edge_subdivisions={
-            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 2}),
-        # one gadget record fewer and four more path vertices keep N
-        "traded gadget": dict(gadgets=r.gadgets[1:], per_edge_subdivisions={
-            **r.per_edge_subdivisions, e: r.per_edge_subdivisions[e] + 4}),
+        "apex on a path": dict(provenance=relabelled(
+            lambda vid, p: vid == apexes[0], on_edge)),
+        # four more path vertices and one crossing fewer keep N
+        "crossing on a path": dict(provenance=relabelled(
+            lambda vid, p: p.crossing == crossing, on_edge)),
+        # vertex n, the least point after G's, is a subdivision vertex
+        "path vertex original": dict(provenance=relabelled(
+            lambda vid, p: vid == r.source.n, Provenance(ROLE_ORIGINAL))),
     }
     return dataclasses.replace(r, **faults[fault])
 
 
 @pytest.mark.parametrize("fault, words", [
     ("missing edge", "model invalid: missing="),
-    ("odd count", r"N = 1687, not n \+ t \+ 4k = 1688"),
     ("close points", "precision2 1/4 below 1/2"),
     ("loose points", "not tight despite k >= 1"),
     ("coincident points", "coincident points for vertices 1685 and 1686"),
     ("swapped model", "1 provenance entries, 54 vertices"),
-    ("even count", "N = 1687, not n"),
-    ("traded gadget", r"kernel constant 1770, not 8k \+ t = 1766"),
+    ("apex on a path", r"N = 1687, not n \+ t \+ 4k = 1688"),
+    ("crossing on a path", r"kernel constant 1770, not 8k \+ t = 1766"),
+    ("path vertex original", r"N = 1687, not n \+ t \+ 4k = 1686"),
     ("swapped source", r"kernel of U\(G\) is not G at weight 1: pairs \[\(\(0, 1\), 1\)"),
 ])
 def test_validate_reduction_rejects_each_fault(fault, words):
@@ -344,8 +351,8 @@ _real_construct_H_on = udgcut.reduction.construct_H_on
 def _planted_with(change):
     """construct_H_on with its edge set passed through change."""
     def planted(g, e1, e2):
-        h, inst = _real_construct_H_on(g, e1, e2)
-        return dataclasses.replace(h, edges=change(h.edges)), inst
+        h = _real_construct_H_on(g, e1, e2)
+        return dataclasses.replace(h, edges=change(h.edges))
     return planted
 
 
@@ -355,7 +362,7 @@ def _planted_with(change):
     ("construct_H_on", _planted_with(lambda es: es - {(0, 4)}), "model invalid: missing="),
     ("construct_H_on", _planted_with(lambda es: es | {(4, 6)}),
      r"model invalid: missing=\[\] spurious=\[\("),
-    ("_apply_parity_detour", lambda *args: None, r"N = 1681, not n \+ t \+ 4k = 1687"),
+    ("_apply_parity_detour", lambda *args: None, r"kernel of U\(G\) is not G at weight 1"),
 ], ids=["apex edge dropped", "spurious gadget edge", "parity detour skipped"])
 def test_reduce_refuses_a_broken_gadget_or_detour(monkeypatch, target, stand_in, words):
     monkeypatch.setattr(udgcut.reduction, target, stand_in)
@@ -366,14 +373,26 @@ def test_reduce_refuses_a_broken_gadget_or_detour(monkeypatch, target, stand_in,
 def test_every_atlas_graph_up_to_six_vertices_carries_the_kernel_certificate():
     # the graphs of An Atlas of Graphs (Read and Wilson) that reduce accepts
     # with 1-6 vertices; validate_reduction, run by reduce, checks each one's
-    # kernel against G and 8k + t
+    # kernel against G and 8k + t.  Each JSON's counts must agree with its
+    # own vertex records, the only witness a loaded model carries.
     import networkx as nx
 
     atlas = [g for g in nx.graph_atlas_g()
              if 1 <= g.number_of_nodes() <= 6 and max(d for _, d in g.degree()) <= 4]
     assert len(atlas) == 174
     for g in atlas:
-        reduce(graph(g.number_of_nodes(), list(g.edges())))
+        payload = json.loads(to_json(reduce(graph(g.number_of_nodes(), list(g.edges())))))
+        on_path = [tuple(rec["origin"]) for rec in payload["vertices"]
+                   if rec["role"] in (ROLE_SUBDIVISION, ROLE_DETOUR_APEX)]
+        per_edge = {tuple(e): cnt for e, cnt in payload["per_edge_subdivisions"]}
+        assert per_edge == Counter(on_path)
+        assert all(cnt % 2 == 0 for cnt in per_edge.values())
+        assert sorted(per_edge) == [tuple(e) for e in payload["source"]["edges"]]
+        assert payload["t"] == len(on_path)
+        named = [tuple(rec["origin"]) for rec in payload["vertices"]
+                 if rec["role"] == ROLE_GADGET_W]
+        assert 4 * payload["k"] == len(named)
+        assert payload["k"] == len(set(named))
 
 
 def test_random_identity_suite():
