@@ -16,7 +16,7 @@ from .udg_model import (NOT_PLANAR_DRAWING, PLANAR_BY_CHECK, PLANAR_BY_THEOREM,
 from .gadget import build_H, construct_H_on, h_model
 from .drawing import (Crossing, MeshDrawing, crossings, mesh_draw, standardize,
                       validate_drawing, validate_standard)
-from .kernel import kernelize
+from .kernel import kernelize, kernelize_graph
 from .solvers import (TreeDecomposition, greedy_tree_decomposition,
                       max_bisection_bruteforce, max_cut_bruteforce,
                       max_cut_treewidth_dp)

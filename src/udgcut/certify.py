@@ -18,7 +18,7 @@ from .gadget import build_H, construct_H_on, h_model
 from .graph_core import (Edge, Graph, complete_graph, cycle_graph, format_graph_text, graph,
                          petersen_graph, random_graph, subdivide_edge_twice,
                          subdivide_randomly)
-from .kernel import kernelize
+from .kernel import kernelize_graph
 from .reduction import recover_mc, reduce
 from .solvers import max_cut_bruteforce, max_cut_treewidth_dp
 from .udg_model import precision2, straight_line_crossings, validate_model
@@ -47,7 +47,7 @@ def _prove_gain(name: str, edges: list[Edge], surgery, gain: int) -> CheckResult
     whose new vertices meet no other, carries over to any host."""
     host = graph(2 * len(edges), edges)
     after = surgery(host)
-    residual, const = kernelize(after.n, dict.fromkeys(after.edges, 1), host.n)
+    residual, const = kernelize_graph(after, host.n)
     if residual != dict.fromkeys(host.edges, 1) or const != gain:
         kept = sorted(residual.items())
         return _fail(name, f"kernel keeps {kept} + {const}, not the host + {gain}",

@@ -18,8 +18,8 @@ of half-plane shifts (constant 6) that leaves the abstract graph intact
 and separates vertices, crossing points and carrier lines all at once.
 The paper's standard drawing uses 10.  Its spacing argument is what makes
 the cut identity hold there; here each reduction output carries its own
-certificate instead (kernel.kernelize in reduction.validate_reduction), so
-the spacing only has to leave room for the construction's local rules.
+certificate instead (kernel.kernelize_graph in validate_reduction), so the
+spacing only has to leave room for the construction's local rules.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ non-incident edges of a host graph, raising the maximum cut by exactly 8.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import PreconditionError
 from .geometry import Point
 from .graph_core import Graph, canon_edge, graph
@@ -16,6 +18,7 @@ V_OFFSETS = ((10, 0), (0, 10), (-10, 0), (0, -10))
 W_OFFSETS = ((16, 16), (-16, 16), (-16, -16), (16, -16))
 
 
+@cache
 def build_H() -> Graph:
     """H on vertices 0..7: K4 on {0,1,2,3}; w_i = 4+i adjacent to v_i, v_(i+1)."""
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -24,9 +24,9 @@ Edge = tuple[int, int]
 # 1 000 vertices, 0.027-0.029 s at 2 000 and 0.12-0.14 s at 8 000 (three
 # runs each, Python 3.11.7, 2 vCPUs).  With edges the time follows the size
 # of U(G), which grows with the drawing's crossings and route lengths:
-# cycle_graph(300) (N = 49 906) takes 0.46-0.49 s and cycle_graph(1000)
-# (N = 166 806) 2.0-2.5 s, most of it building U(G), validate_model and the
-# kernel certificate (0.13 s and 0.49-0.52 s); the drawing checks, a sweep,
+# cycle_graph(300) (N = 49 906) takes 0.36-0.38 s and cycle_graph(1000)
+# (N = 166 806) 1.34-1.42 s, most of it building U(G), validate_model and the
+# kernel certificate (0.07 s and 0.27 s); the drawing checks, a sweep,
 # take 0.035 s and 0.20-0.21 s.  With the collector running in reduce, the
 # same runs took 0.13-0.14 s at 8 000 and 2.4-2.9 s on cycle_graph(1000).
 MAX_VERTICES = 8000
@@ -167,7 +167,7 @@ def parse_graph_text(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise InputError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     if len(nums) != 2 + 2 * m:
-        raise InputError(f"expected {m} edges, found {(len(nums) - 2) // 2} pairs")
+        raise InputError(f"expected {2 + 2 * m} tokens for {m} edges, found {len(nums)}")
     seen = set()
     edges = []
     for i in range(m):

@@ -18,7 +18,7 @@ certifies mc(U(G)) = mc(G) + 8k + t with no exponential solve.
 
 from __future__ import annotations
 
-from .graph_core import Edge
+from .graph_core import Edge, Graph, adjacency
 
 
 def add_weight(w: list[dict[int, int]], a: int, b: int, d: int) -> None:
@@ -76,3 +76,40 @@ def kernelize(n: int, weights: dict[Edge, int], keep: int
                 const += chain_rule(w, v)
     residual = {(u, v): x for u in range(n) for v, x in w[u].items() if u < v}
     return residual, const
+
+
+def kernelize_graph(g: Graph, keep: int) -> tuple[dict[Edge, int], int]:
+    """kernelize(g.n, g's edges at weight 1, keep), walking each maximal chain
+    of unprotected degree-2 vertices once: j of them between anchors a and b
+    (ids < keep, degrees other than 2) add (-1)^j to the pair ab unless a = b,
+    and j + (j mod 2) to the constant.  kernelize then runs on the anchors,
+    renumbered in order: the rules leave one result in any order."""
+    adj = adjacency(g)
+    anchors = [v for v in range(g.n) if v < keep or len(adj[v]) != 2]
+    rank = [-1] * g.n  # an anchor's position; -1 an unwalked chain vertex
+    for i, v in enumerate(anchors):
+        rank[v] = i
+
+    def starts():  # the anchors, then a vertex of each cycle with none
+        yield from anchors
+        for v in range(keep, g.n):
+            if rank[v] == -1:
+                rank[v] = -2
+                yield v
+
+    weights: dict[Edge, int] = {}
+    const = 0
+    for a in starts():
+        for x in adj[a]:
+            prev, j = a, 0
+            while rank[x] == -1:  # along the chain, marking it walked (-2)
+                rank[x] = -2
+                p, q = adj[x]
+                prev, x = x, (q if p == prev else p)
+                j += 1
+            const += j + (j & 1)
+            if a != x and (j or a < x and rank[x] >= 0):  # an edge: from a < x
+                e = (rank[a], rank[x]) if a < x else (rank[x], rank[a])
+                weights[e] = weights.get(e, 0) + (-1) ** j
+    residual, c = kernelize(len(anchors), weights, keep)
+    return {(anchors[u], anchors[v]): x for (u, v), x in residual.items()}, const + c

@@ -19,10 +19,10 @@ Steps, in construction order:
      restoring even parity.
 
 validate_reduction checks every output, and certifies its cut identity
-with the chain-rule kernel (kernel.kernelize): eliminating every vertex but
-G's must leave exactly G at weight 1 and the constant 8k + t.  That
-certificate, not the paper's spacing argument, is what the identity rests
-on at spacing 6.
+with the chain-rule kernel (kernel.kernelize_graph, which reads U(G) alone):
+eliminating every vertex but G's must leave exactly G at weight 1 and the
+constant 8k + t.  That certificate, not the paper's spacing argument, is
+what the identity rests on at spacing 6.
 
 U(G) is built in three lists indexed by vertex id: points, provenance and
 adjacency sets.  Ids are handed out in creation order, G's vertices first;
@@ -49,7 +49,7 @@ from .errors import ConstructionError, InconsistencyError, InputError, Precondit
 from .gadget import construct_H_on, h_model
 from .geometry import SCALE, Point
 from .graph_core import Edge, Graph, disjoint_union, graph, pause_gc
-from .kernel import kernelize
+from .kernel import kernelize_graph
 from .udg_model import ProximityModel, precision2, validate_model
 
 ROLE_ORIGINAL = "original"
@@ -322,7 +322,7 @@ def validate_reduction(r: ReductionOutput):
         raise ConstructionError(f"N = {r.result.n}, not n + t + 4k = {r.source.n + r.t + 4 * r.k}")
     # the cut identity: eliminating every vertex but G's leaves exactly G at
     # weight 1 and the constant 8k + t
-    residual, const = kernelize(r.result.n, dict.fromkeys(r.result.edges, 1), r.source.n)
+    residual, const = kernelize_graph(r.result, r.source.n)
     wrong = sorted(residual.items() ^ dict.fromkeys(r.source.edges, 1).items())
     if wrong:
         raise ConstructionError(f"kernel of U(G) is not G at weight 1: pairs {wrong[:3]} differ")

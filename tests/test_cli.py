@@ -452,6 +452,9 @@ def test_a_model_of_equal_points_exits_2_at_the_first_pair(tmp_path, capsys, mon
 @pytest.mark.parametrize("text, message", [
     ("5", "graph text must start with 'n m'"),
     ("-1 0", "negative vertex count -1"),
+    # an odd token count: the message names both counts, not "5 edges, 5 pairs"
+    ("5 5 0 1 0 4 1 2 2 3 3 4 -1", "expected 12 tokens for 5 edges, found 13"),
+    ("3 2\n0 1\n", "expected 6 tokens for 2 edges, found 4"),
 ])
 def test_a_malformed_graph_header_exits_2(tmp_path, capsys, text, message):
     src = tmp_path / "bad.txt"
