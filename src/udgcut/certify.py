@@ -120,7 +120,7 @@ def check_reduction_identity(seed: int) -> CheckResult:
 def check_kernel_certificate() -> CheckResult:
     """The kernel certificate of mc(U) = mc(G) + 8k + t, which reduce checks
     on every output (validate_reduction), on random graphs with 40 and 64
-    vertices: there U(G) has width 27 and 34, past the DP's ceiling."""
+    vertices: there U(G) has width 24 and 33, past the DP's ceiling."""
     name = "kernel certificate (8k + t)"
     sizes = []
     for n in (40, 64):

@@ -1,11 +1,14 @@
 """Mesh drawings of degree-at-most-4 graphs.
 
 A mesh drawing places vertices on mesh crosses and routes every edge as an
-axis-aligned polyline on the mesh.  Construction uses the four per-vertex
-corridors (A: row b+2 / col a-1, B: row b+1 / col a-2, C: row b-2 / col a+1,
-D: row b-1 / col a+2 for a vertex at (a, b)); each corridor also owns one of
-the four unit approach ports of its vertex (A up, B left, C down, D right),
-which keeps routes of distinct edges from sharing line segments.
+axis-aligned polyline on the mesh.  mesh_draw gives each vertex one row and
+one column on the diagonal and routes most edges with one bend, from the
+earlier end's row or column onto the later end's column or row; an edge
+that finds both of those ports taken steps onto private lines beside its
+ends.  So the drawing occupies about one line per vertex per axis, as the
+orthogonal drawings of Biedl and Kant ("A better heuristic for orthogonal
+graph drawings", 1998) do, and the size of U(G) follows the route lengths
+over those lines.
 
 Validation and the crossing list index the segments by axis line and sweep
 the index (Bentley and Ottmann's orthogonal sweep for perpendicular pairs),
@@ -20,6 +23,10 @@ The paper's standard drawing uses 10.  Its spacing argument is what makes
 the cut identity hold there; here each reduction output carries its own
 certificate instead (kernel.kernelize_graph in validate_reduction), so the
 spacing only has to leave room for the construction's local rules.
+mesh_draw puts neighbouring lines 2 apart, and standardize opens each gap
+to exactly 8: every route then has a horizontal segment at least 8 long
+from an end or a bend, with six row vertices before any crossing flank,
+which is a parity detour site.
 """
 
 from __future__ import annotations
@@ -32,17 +39,13 @@ from .errors import DegenerateOverlapError, InputError
 from .geometry import ONE_DIST2_UNITS, SCALE, Point, pairs_within
 from .graph_core import Edge, Graph, adjacency, max_degree
 
-# letter -> (row offset, col offset) of the corridor lines, in mesh units
-CORRIDORS = {"A": (2, -1), "B": (1, -2), "C": (-2, 1), "D": (-1, 2)}
-_LETTERS = "ABCD"
-
 # The least distance, in mesh units, between distinct occupied parallel
 # lines, and so between vertices and crossings, of a standard drawing.
-# mesh_draw leaves gaps of 1 or 2 between most occupied lines, which
-# standardize opens to 7 or 8: still room past a crossing's flank for the
-# six row vertices a parity detour needs.  At 4 many inputs have no detour
-# site.  Each unit of spacing adds about one unit of extent per occupied
-# line, and route length, and so N, follows the extent.
+# mesh_draw puts its lines 2 apart, which standardize opens to 8: room past
+# a crossing's flank for the six row vertices a parity detour needs.  At 4
+# many inputs have no detour site.  Each unit of spacing adds about one unit
+# of extent per occupied line, and route length, and so N, follows the
+# extent.
 SPACING = 6
 _GAP = SPACING * SCALE
 
@@ -104,55 +107,107 @@ def _placement_order(g: Graph) -> list[int]:
     return order
 
 
-def mesh_draw(g: Graph) -> MeshDrawing:
-    """Mesh drawing of g with the fixed corridor staircase template.
+# a stub's private line, as (column offset, row offset) from its vertex's own
+# lines: a column for the E and W ports, a row for N and S
+_STUB = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
 
-    Vertices are placed on the diagonal at (6p, 6p), p the vertex's index in
-    the placement order, giving every pair x- and y-distance >= 6 and keeping
-    corridor lines of distinct vertices disjoint.  Each edge leaves its
-    earlier-placed endpoint through that endpoint's corridor (entering via
-    the corridor's port), runs along the corridor's horizontal line, and
-    descends on the partner corridor's vertical line into the partner's port.
+
+def mesh_draw(g: Graph) -> MeshDrawing:
+    """Mesh drawing of g with one row and one column per vertex.
+
+    Vertex p, the p-th in placement order, owns one row and one column,
+    above and right of those of the vertices placed before it, so the
+    vertices climb a diagonal.  An edge p -> q, p placed first, takes one
+    bend: EN leaves p's E port along p's row and goes up q's column into
+    q's S port; NE goes up p's column and along q's row into q's W port.
+    Taking the edges in order, an edge takes one bend while p has fewer
+    than two such later edges and q fewer than two such earlier ones, and
+    two of them that share an end must take different ways.  Each meets at
+    most one other at each end, and round a cycle of such meetings shared
+    earlier and shared later ends alternate, so every cycle is even and a
+    walk 2-colours them all.
+
+    Every other edge takes the first free port at each end (E, N, S, W at
+    p; S, W, N, E at q) and steps from it onto a private line next to that
+    end.  The two private lines meet at one bend, or, when both are rows or
+    both are columns, through one more private line next to p: a row above
+    p's, or a column right of p's.  Rows and columns sit at consecutive
+    even mesh coordinates, in placement order, with a vertex's private
+    lines beside its own (stubs nearest), so standardize puts neighbouring
+    lines exactly 8 apart.  Distinct routes share no line but a vertex's
+    own, and there only on opposite sides of the vertex, so they meet in
+    proper crossings alone, at least one line from every bend and end.
     """
     if max_degree(g) > 4:
         raise InputError(f"mesh drawings need maximum degree 4, got {max_degree(g)}")
-    order = _placement_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    placement = {v: Point.mesh(6 * pos[v], 6 * pos[v]) for v in range(g.n)}
-    adj = adjacency(g)
-    letter: dict[tuple[int, int], str] = {}
-    for v in range(g.n):
-        for rank, w in enumerate(sorted(adj[v])):
-            letter[(v, w)] = _LETTERS[rank]
+    pos = [0] * g.n
+    for i, v in enumerate(_placement_order(g)):
+        pos[v] = i
+    later: list[list[Edge]] = [[] for _ in range(g.n)]
+    earlier: list[list[Edge]] = [[] for _ in range(g.n)]
+    left_over: list[Edge] = []
+    for p, q in sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges):
+        if len(later[p]) < 2 and len(earlier[q]) < 2:
+            later[p].append((p, q))
+            earlier[q].append((p, q))
+        else:
+            left_over.append((p, q))
+    en: dict[Edge, bool] = {}  # each one-bend edge: EN (True) or NE
+    for first in (e for es in later for e in es):
+        if first in en:
+            continue
+        en[first] = True
+        stack = [first]
+        while stack:
+            e = stack.pop()
+            for f in later[e[0]] + earlier[e[1]]:
+                if f not in en:
+                    en[f] = not en[e]
+                    stack.append(f)
+    # route corners as (column, row) pairs of line keys: (p, 0) is p's own
+    # line, and (p, j) sits beside it, above or right of it when j > 0
+    taken = [set() for _ in range(g.n)]
+    keyed: dict[Edge, list] = {}
+    for (p, q), is_en in en.items():
+        taken[p].add("E" if is_en else "N")
+        taken[q].add("S" if is_en else "W")
+        keyed[(p, q)] = [((p, 0), (p, 0)), ((q, 0), (p, 0)) if is_en else ((p, 0), (q, 0)),
+                         ((q, 0), (q, 0))]
+    # the outermost line above and right of each vertex so far: stubs take
+    # offset 1, one more line for a join 2, 3, ...
+    extra_rows, extra_cols = [1] * g.n, [1] * g.n
+    for p, q in left_over:
+        ends = []
+        for v, ports in ((p, "ENSW"), (q, "SWNE")):
+            port = next(x for x in ports if x not in taken[v])
+            taken[v].add(port)
+            dx, dy = _STUB[port]
+            ends.append((((v, dx), (v, dy)), port in "EW"))
+        (s, s_col), (t, t_col) = ends
+        if s_col and t_col:
+            extra_rows[p] += 1
+            middle = [(s[0], (p, extra_rows[p])), (t[0], (p, extra_rows[p]))]
+        elif not (s_col or t_col):
+            extra_cols[p] += 1
+            middle = [((p, extra_cols[p]), s[1]), ((p, extra_cols[p]), t[1])]
+        else:
+            middle = [(s[0], t[1]) if s_col else (t[0], s[1])]
+        keyed[(p, q)] = [((p, 0), (p, 0)), s, *middle, t, ((q, 0), (q, 0))]
+    cols = {(p, 0) for p in range(g.n)}
+    rows = set(cols)
+    for route in keyed.values():
+        for c, r in route:
+            cols.add(c)
+            rows.add(r)
+    col_at = {c: 2 * i for i, c in enumerate(sorted(cols))}
+    row_at = {r: 2 * i for i, r in enumerate(sorted(rows))}
+    placement = {v: Point.mesh(col_at[(pos[v], 0)], row_at[(pos[v], 0)]) for v in range(g.n)}
     routes: dict[Edge, Route] = {}
     for u, v in g.sorted_edges():
-        src, dst = (u, v) if pos[u] < pos[v] else (v, u)
-        built = _route(placement[src], placement[dst],
-                       letter[(src, dst)], letter[(dst, src)])
-        routes[(u, v)] = built if src == u else tuple(reversed(built))
+        p, q = sorted((pos[u], pos[v]))
+        route = tuple(Point.mesh(col_at[c], row_at[r]) for c, r in keyed[(p, q)])
+        routes[(u, v)] = route if pos[u] == p else route[::-1]
     return MeshDrawing(g, placement, routes)
-
-
-def _route(pu: Point, pv: Point, s_letter: str, t_letter: str) -> Route:
-    a, b = pu.xu // SCALE, pu.yu // SCALE
-    c, d = pv.xu // SCALE, pv.yu // SCALE
-    run_row = b + CORRIDORS[s_letter][0]
-    target_col = c + CORRIDORS[t_letter][1]
-    m = Point.mesh
-    prefix = {
-        "A": [m(a, b), m(a, b + 2)],
-        "B": [m(a, b), m(a - 2, b), m(a - 2, b + 1)],
-        "C": [m(a, b), m(a, b - 2)],
-        "D": [m(a, b), m(a + 2, b), m(a + 2, b - 1)],
-    }[s_letter]
-    x = target_col
-    suffix = {
-        "A": [m(x, run_row), m(x, d + 2), m(c, d + 2), m(c, d)],
-        "B": [m(x, run_row), m(x, d), m(c, d)],
-        "C": [m(x, run_row), m(x, d - 2), m(c, d - 2), m(c, d)],
-        "D": [m(x, run_row), m(x, d), m(c, d)],
-    }[t_letter]
-    return tuple(prefix + suffix)
 
 
 # -- validation ----------------------------------------------------------------

@@ -21,14 +21,16 @@ Edge = tuple[int, int]
 
 # The most vertices a graph file may name.  On an edgeless graph, the
 # cheapest input of its size, `reduce` is near-linear: 0.013-0.014 s at
-# 1 000 vertices, 0.027-0.029 s at 2 000 and 0.12-0.14 s at 8 000 (three
-# runs each, Python 3.11.7, 2 vCPUs).  With edges the time follows the size
-# of U(G), which grows with the drawing's crossings and route lengths:
-# cycle_graph(300) (N = 49 906) takes 0.36-0.38 s and cycle_graph(1000)
-# (N = 166 806) 1.34-1.42 s, most of it building U(G), validate_model and the
-# kernel certificate (0.07 s and 0.27 s); the drawing checks, a sweep,
-# take 0.035 s and 0.20-0.21 s.  With the collector running in reduce, the
-# same runs took 0.13-0.14 s at 8 000 and 2.4-2.9 s on cycle_graph(1000).
+# 1 000 vertices, 0.026-0.030 s at 2 000 and 0.10-0.19 s at 8 000 (three
+# to five runs each, taken three times over half an hour; Python 3.11.7,
+# 2 vCPUs, whose speed swung by up to 1.7x within that time).  With edges the time follows the size of U(G),
+# which grows with the drawing's crossings and route lengths:
+# cycle_graph(300) (N = 9 868, no crossing) takes 0.06-0.11 s and
+# cycle_graph(1000) (N = 32 968) 0.23-0.41 s, most of it building U(G),
+# validate_model and the kernel certificate (0.007-0.012 s and
+# 0.03-0.05 s); the drawing checks, a sweep, take 0.009-0.016 s and
+# 0.03-0.06 s.  With the collector running in reduce, the same runs took
+# 0.15-0.26 s at 8 000 and 0.38-0.62 s on cycle_graph(1000).
 MAX_VERTICES = 8000
 
 

@@ -44,7 +44,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .drawing import crossings, mesh_draw, standardize, validate_drawing, validate_standard
+from .drawing import (Crossing, MeshDrawing, crossings, mesh_draw, standardize,
+                      validate_drawing, validate_standard)
 from .errors import ConstructionError, InconsistencyError, InputError, PreconditionError
 from .gadget import construct_H_on, h_model
 from .geometry import SCALE, Point
@@ -124,30 +125,7 @@ def reduce(g: Graph) -> ReductionOutput:
     if witnesses:
         raise ConstructionError(f"standardization failed: {witnesses}")
 
-    # the crossing points on each edge, True where the edge is the horizontal one
-    sites: dict[Edge, dict[Point, bool]] = {e: {} for e in drawn.routes}
-    for cr in xreport:
-        sites[cr.horizontal_edge][cr.point] = True
-        sites[cr.vertical_edge][cr.point] = False
-
-    points = [drawn.placement[v] for v in range(g.n)]
-    prov = [Provenance(ROLE_ORIGINAL)] * g.n
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-
-    # Step 2: every path in its final form; its edges are consecutive pairs.
-    paths: dict[Edge, list[int]] = {}
-    for e in sorted(drawn.routes):
-        inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
-        path = [e[0], *_add_vertices(points, prov, adj, inner,
-                                     Provenance(ROLE_SUBDIVISION, edge=e)), e[1]]
-        for a, c in zip(path, path[1:]):
-            _link(adj, a, c)
-        paths[e] = path
-
-    # Step 3: the gadget on every crossing.
-    node_at = {pt: nid for nid, pt in enumerate(points)}
-    for cr in xreport:
-        _plant_gadget(points, prov, adj, node_at, cr.point)
+    points, prov, adj, paths = _paths_and_gadgets(drawn, xreport)
 
     # Step 4: restore even parity per original edge (an odd count, an odd-length path).
     for e, path in paths.items():
@@ -165,6 +143,37 @@ def reduce(g: Graph) -> ReductionOutput:
     out = ReductionOutput(g, model, list(map(prov.__getitem__, order)))
     validate_reduction(out)
     return out
+
+
+def _paths_and_gadgets(drawn: MeshDrawing, xreport: list[Crossing]):
+    """Steps 2 and 3: U(G) before its parity detours, as the three lists
+    (points, provenance, adjacency sets), and the step-2 path of ids of
+    every edge of G."""
+    # the crossing points on each edge, True where the edge is the horizontal one
+    sites: dict[Edge, dict[Point, bool]] = {e: {} for e in drawn.routes}
+    for cr in xreport:
+        sites[cr.horizontal_edge][cr.point] = True
+        sites[cr.vertical_edge][cr.point] = False
+
+    points = [drawn.placement[v] for v in range(drawn.graph.n)]
+    prov = [Provenance(ROLE_ORIGINAL)] * drawn.graph.n
+    adj: list[set[int]] = [set() for _ in points]
+
+    # Step 2: every path in its final form; its edges are consecutive pairs.
+    paths: dict[Edge, list[int]] = {}
+    for e in sorted(drawn.routes):
+        inner = _path_points(e, drawn.routes[e], sites[e])[1:-1]
+        path = [e[0], *_add_vertices(points, prov, adj, inner,
+                                     Provenance(ROLE_SUBDIVISION, edge=e)), e[1]]
+        for a, c in zip(path, path[1:]):
+            _link(adj, a, c)
+        paths[e] = path
+
+    # Step 3: the gadget on every crossing.
+    node_at = {pt: nid for nid, pt in enumerate(points)}
+    for cr in xreport:
+        _plant_gadget(points, prov, adj, node_at, cr.point)
+    return points, prov, adj, paths
 
 
 def _add_vertices(points: list[Point], prov: list[Provenance], adj: list[set[int]],

@@ -54,9 +54,10 @@ _RESULT = struct.Struct("<qq")
 # (k = 14) in 9-12 s and 210-222 MB; an earlier single run took 78 s and
 # 3.0 GB at width 24.  Pausing the collector saves little here: with it
 # running the same runs took 0.10-0.11 s, 1.2-1.5 s and 8.7-9.2 s.  The
-# reduce outputs of random degree-4 graphs with n = 14, 24 and 32
-# (N = 7 188, 15 738 and 19 626) have width 13, 15 and 15; `solve` takes
-# 0.11-0.18 s, 0.39-0.53 s and 0.50-0.64 s and 24, 36 and 39 MB on them.
+# reduce outputs of random_graph(random.Random(s), n, 0.5, 4) with
+# (n, s) = (17, 38), (24, 24) and (32, 32) (N = 3 545, 5 612 and 6 602)
+# have width 13, 16 and 15; `solve` takes 0.05, 0.24-0.25 and 0.20 s
+# in-process and 21, 32 and 28 MB on them.
 DEFAULT_WIDTH_LIMIT = 20
 
 
@@ -499,25 +500,26 @@ def max_cut_treewidth_dp(g: Graph, td: TreeDecomposition | None = None,
         x, v = min((x, v) for x, b in enumerate(bags) for v in b if not 0 <= v < n)
         raise InputError(f"bag {x} holds {v}, which is not a vertex of the "
                          f"{n}-vertex graph")
+    n_bags = len(bags)
     tree_adj: list[list[int]] = [[] for _ in bags]
     for i, j in td.tree:
-        if not (0 <= i < len(bags) and 0 <= j < len(bags)):
+        if not (0 <= i < n_bags and 0 <= j < n_bags):
             raise InputError(f"tree edge {(i, j)} names a bag that does not exist; "
-                             f"there are {len(bags)}")
+                             f"there are {n_bags}")
         tree_adj[i].append(j)
         tree_adj[j].append(i)
     # each parent before its children; parent[y] is None until bag y is
     # reached, and the root's parent is -1
     order = [0] if bags else []
-    parent: list[int | None] = [-1] + [None] * (len(bags) - 1)
+    parent: list[int | None] = [-1] + [None] * (n_bags - 1)
     for x in order:
         for y in tree_adj[x]:
             if parent[y] is None:
                 parent[y] = x
                 order.append(y)
-    if len(order) != len(bags):
+    if len(order) != n_bags:
         raise InputError("decomposition tree does not reach every bag from bag 0")
-    if len(td.tree) > len(bags) - 1:
+    if len(td.tree) > n_bags - 1:
         raise InputError("decomposition tree has a cycle")
 
     w: list[dict[int, int]] = [{} for _ in range(n)]

@@ -137,11 +137,11 @@ def test_solve_methods_agree(tmp_path, k5_file, capsys):
 
 
 def test_solve_takes_a_width_13_model_within_the_dp_ceiling(tmp_path, capsys):
-    g = random_graph(random.Random(14), 14, 0.5, 4)
+    g = random_graph(random.Random(38), 17, 0.5, 4)
     src, out = tmp_path / "g.txt", tmp_path / "g.json"
     src.write_text(format_graph_text(g))
     assert main(["reduce", "--in", str(src), "--out", str(out)]) == 0
-    assert "vertices=7188 " in capsys.readouterr().out
+    assert "vertices=3545 " in capsys.readouterr().out
     assert greedy_tree_decomposition(load_output_json(out.read_text()).model.graph).width == 13
     assert _recovered_mc(capsys, out) == max_cut_bruteforce(g)[0]
 

@@ -1,4 +1,4 @@
-"""Mesh drawings: template validity, corridor discipline, standardization."""
+"""Mesh drawings: template validity, one line per vertex, standardization."""
 
 import random
 import sys
@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udgcut.drawing
-from udgcut.drawing import (CORRIDORS, SPACING, Crossing, MeshDrawing,
-                            _axis_lines, _meetings, _placement_order,
-                            crossings, mesh_draw, standardize,
-                            validate_drawing, validate_standard)
+from udgcut.drawing import (SPACING, Crossing, MeshDrawing, _axis_lines,
+                            _meetings, _placement_order, crossings, mesh_draw,
+                            standardize, validate_drawing, validate_standard)
 from udgcut.errors import DegenerateOverlapError, InputError
 from udgcut.geometry import SCALE, Point, dist2_units
 from udgcut.graph_core import (Edge, adjacency, complete_graph, cycle_graph,
                                disjoint_union, graph, max_degree, path_graph,
                                petersen_graph, random_graph)
+from udgcut.reduction import _detour_site, _paths_and_gadgets
 
 
 def test_edgeless_graph_draws_as_bare_placements():
@@ -25,10 +25,11 @@ def test_edgeless_graph_draws_as_bare_placements():
     assert validate_drawing(d) == []
 
 
-def test_single_edge_route_stays_in_its_corridors():
+def test_single_edge_takes_one_bend():
     d = mesh_draw(graph(2, [(0, 1)]))
     assert validate_drawing(d) == []
-    _assert_routes_inside_corridors(d)
+    assert d.routes[(0, 1)] == (Point.mesh(0, 0), Point.mesh(2, 0), Point.mesh(2, 2))
+    _assert_one_line_template(d)
 
 
 def test_degree_five_rejected():
@@ -37,44 +38,143 @@ def test_degree_five_rejected():
         mesh_draw(star5)
 
 
-def test_placement_spacing_at_least_five():
+def test_each_vertex_owns_one_row_and_one_column():
     d = mesh_draw(complete_graph(5))
-    pts = list(d.placement.values())
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            assert abs(pts[i].xu - pts[j].xu) >= 5 * SCALE
-            assert abs(pts[i].yu - pts[j].yu) >= 5 * SCALE
+    placed = [d.placement[v] for v in _placement_order(d.graph)]
+    # K5 puts two edges at each of its first and last vertices on private
+    # lines, which sit between the vertices' own lines
+    assert [(p.xu // SCALE, p.yu // SCALE) for p in placed] == [
+        (2, 2), (8, 4), (10, 8), (12, 10), (14, 14)]
+    _assert_one_line_template(d)
 
 
-def _assert_routes_inside_corridors(d: MeshDrawing):
-    """Interior segments run on corridor lines of the two endpoints; the only
-    other lines a route may use are the endpoint port lines (the vertex's own
-    row and column, entered within two units of the vertex).
-
-    The corridors follow the template's rule: a vertex gives its k-th
-    smallest neighbour its k-th letter, so no two edges at a vertex share
-    one."""
-    adj = adjacency(d.graph)
-    for (u, v), route in d.routes.items():
-        (ru, cu), (rv, cv) = (CORRIDORS["ABCD"[sorted(adj[a]).index(b)]]
-                              for a, b in ((u, v), (v, u)))
-        pu, pv = d.placement[u], d.placement[v]
-        rows = {pu.yu + ru * SCALE, pv.yu + rv * SCALE, pu.yu, pv.yu}
-        cols = {pu.xu + cu * SCALE, pv.xu + cv * SCALE, pu.xu, pv.xu}
-        for a, b in zip(route, route[1:]):
-            if a.yu == b.yu:
-                assert a.yu in rows
-            else:
-                assert a.xu in cols
+def _earlier_first(d: MeshDrawing, e: Edge):
+    """The route of e from its earlier-placed end, and that end and the other."""
+    u, v = e
+    if d.placement[u].xu < d.placement[v].xu:
+        return d.routes[e], u, v
+    return d.routes[e][::-1], v, u
 
 
-def test_corridors_unique_per_vertex_and_contain_routes():
+def _shape(d: MeshDrawing, e: Edge):
+    """"EN" or "NE" for a one-bend route; for any other, the kinds of the
+    private lines its stubs step onto at the earlier and the later end."""
+    route, _, _ = _earlier_first(d, e)
+    kinds = tuple("col" if a.yu == b.yu else "row" for a, b in (route[:2], route[-2:]))
+    if len(route) == 3:
+        return "EN" if kinds[0] == "col" else "NE"
+    return kinds
+
+
+def _port(p: Point, nxt: Point) -> str:
+    return "E" if nxt.xu > p.xu else "W" if nxt.xu < p.xu else "N" if nxt.yu > p.yu else "S"
+
+
+def _assert_one_line_template(d: MeshDrawing):
+    """The invariants of mesh_draw's drawing before standardization: each
+    vertex above and right of the one placed before it, the occupied rows
+    and columns at consecutive even coordinates, and every route either
+    one bend from the earlier end up and to the right, or two stubs of one
+    line each onto lines no other route uses, joined by one bend or one
+    more line; at each vertex its routes leave by distinct ports."""
+    placed = [d.placement[v] for v in _placement_order(d.graph)]
+    assert all(a.xu < b.xu and a.yu < b.yu for a, b in zip(placed, placed[1:]))
+    rows = {p.yu for r in d.routes.values() for p in r} | {p.yu for p in d.placement.values()}
+    cols = {p.xu for r in d.routes.values() for p in r} | {p.xu for p in d.placement.values()}
+    for lines in (rows, cols):
+        assert sorted(lines) == list(range(0, 2 * SCALE * len(lines), 2 * SCALE))
+    lines_of = {e: ({("row", a.yu) for a, b in zip(r, r[1:]) if a.yu == b.yu}
+                    | {("col", a.xu) for a, b in zip(r, r[1:]) if a.xu == b.xu})
+                for e, r in d.routes.items()}
+    ports = {v: [] for v in d.placement}
+    for e, lines in lines_of.items():
+        route, p, q = _earlier_first(d, e)
+        ports[p].append(_port(route[0], route[1]))
+        ports[q].append(_port(route[-1], route[-2]))
+        turns = [(a.yu == b.yu) != (b.yu == c.yu) for a, b, c in zip(route, route[1:], route[2:])]
+        assert all(turns) and len(route) in (3, 5, 6)
+        if len(route) == 3:
+            (x0, y0), (x2, y2) = route[0], route[2]
+            assert x0 < x2 and y0 < y2 and route[1] in ((x2, y0), (x0, y2))
+            continue
+        own = {("row", d.placement[v].yu) for v in (p, q)} | {("col", d.placement[v].xu)
+                                                               for v in (p, q)}
+        others = set().union(*(lines_of[f] for f in d.routes if f != e))
+        assert not (lines - own) & others
+        for a, b in (route[:2], route[-2:]):
+            assert abs(a.xu - b.xu) + abs(a.yu - b.yu) == 2 * SCALE
+    for v, used in ports.items():
+        assert len(used) == len(set(used))
+
+
+def test_routes_keep_to_their_ends_and_private_lines():
     rng = random.Random(79)
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 10), p=0.5, max_deg=4)
         d = mesh_draw(g)
         assert validate_drawing(d) == []
-        _assert_routes_inside_corridors(d)
+        _assert_one_line_template(d)
+
+
+def _conflict_cycles(d: MeshDrawing) -> list[int]:
+    """The length of each cycle of one-bend routes in which each route
+    shares its earlier end with one neighbour and its later end with the
+    other, which mesh_draw must give different ways."""
+    one_bend = [e for e, route in d.routes.items() if len(route) == 3]
+    sharing: dict[tuple, list[Edge]] = {}
+    for e in one_bend:
+        _, p, q = _earlier_first(d, e)
+        sharing.setdefault(("earlier", p), []).append(e)
+        sharing.setdefault(("later", q), []).append(e)
+    mates: dict[Edge, list[Edge]] = {e: [] for e in one_bend}
+    for pair in sharing.values():
+        if len(pair) == 2:
+            mates[pair[0]].append(pair[1])
+            mates[pair[1]].append(pair[0])
+    cycles, seen = [], set()
+    for e in one_bend:
+        if e in seen:
+            continue
+        component, stack = [], [e]
+        seen.add(e)
+        while stack:
+            component.append(f := stack.pop())
+            for h in mates[f]:
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+        if all(len(mates[f]) == 2 for f in component):
+            cycles.append(len(component))
+    return cycles
+
+
+def test_every_route_shape_occurs_and_every_path_has_a_detour_site():
+    """K5, Petersen and seeded random graphs draw every route shape, and
+    the spacing of 8 leaves a parity detour site on every step-2 path, even
+    or odd.  Cycles of one-bend routes that must differ alternate a shared
+    earlier end and a shared later end, so they are even: an odd one, which
+    could not be 2-coloured, never occurs."""
+    rng = random.Random(5)
+    graphs = [complete_graph(5), petersen_graph()] + [
+        random_graph(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9), 4) for _ in range(10)]
+    shapes, cycles, four_later, paths = set(), [], 0, 0
+    for g in graphs:
+        raw = mesh_draw(g)
+        _assert_one_line_template(raw)
+        shapes |= {_shape(raw, e) for e in raw.routes}
+        cycles += _conflict_cycles(raw)
+        adj = adjacency(g)
+        four_later += sum(len(adj[v]) == 4 and all(raw.placement[w].xu > raw.placement[v].xu
+                                                   for w in adj[v]) for v in range(g.n))
+        d = standardize(raw)
+        points, _, built, step2 = _paths_and_gadgets(d, crossings(d))
+        for path in step2.values():
+            assert _detour_site(points, built, path) is not None
+        paths += len(step2)
+    kinds = ("row", "col")
+    assert shapes == {"EN", "NE"} | {(a, b) for a in kinds for b in kinds}
+    assert cycles and all(c % 2 == 0 for c in cycles)
+    assert four_later >= 1 and paths == sum(g.m for g in graphs)
 
 
 def test_k5_has_crossings():
@@ -597,11 +697,11 @@ def test_the_sweep_looks_at_near_linearly_many_pairs():
     """Counts, not clock time.  The sweep looks only at segment pairs that
     meet, so its candidates are its meetings; and the lines that
     validate_drawing and crossings run in drawing.py stay within
-    c * (S + K), where the pair loops looked at S^2 / 2 = 1.6 M pairs."""
-    d = standardize(mesh_draw(cycle_graph(300)))
+    c * (S + K), where the pair loops looked at S^2 / 2 = 1.0 M pairs."""
+    d = standardize(mesh_draw(random_graph(random.Random(300), 300, 0.5, 4)))
     s = sum(len(route) - 1 for route in d.routes.values())
     k = len(crossings(d))
-    assert (s, k) == (1798, 896)
+    assert (s, k) == (1428, 6114)
     assert len(_meetings(_axis_lines(list(d.routes.values())))) <= 2 * (s + k)
     lines_run = 0
 

@@ -25,24 +25,24 @@ from udgcut.udg_model import (ProximityModel, precision2, random_precise_model,
 # greedy_tree_decomposition(reduce(g).result))
 GOLDEN = {
     "K4": (lambda: complete_graph(4),
-           "dbb09fe08ea088020c95b064f6b15b84029b2024e10e60a5c182dfb6242edfc8",
-           "691793c52e8b91422492cf72f77aeb03f2eb3cdaead3c20304eec7ac346d2910"),
+           "02826780bd4fff0acf601b8f4d99e59bddb2d245556830a78e38c1a3430147f3",
+           "96bd3104c173790e0b1aa1e2ccdff5ae5fb5813e2c10cb015903a30ad8310256"),
     "K5": (lambda: complete_graph(5),
-           "0ef3f5bb26ceb2cdf3565d7ad523efdba883dda4cd9990984d2058e8b538ac42",
-           "9b78a639b74c9541bcb6626b1f0cb789781e153fd135e9e9a0c1937c689bcb05"),
+           "127142c0213c6c88a12bf46d3598b75b676e54309df3276390d5962f22919e0f",
+           "c5e23decec7beb5fcdae3620d270e5ec74e24b9e5b70bd5433e963d362d4223f"),
     "C5": (lambda: cycle_graph(5),
-           "820f9d2243eb37b39ed07e8a7310dfbabfa6255c5dc19ea260ceaa005560fb5f",
-           "2b117467b2ea5e933d8986f44b1c3a8d63f804d8b538196b91e9197364515d58"),
+           "f1c4d19c4ff1e77d08c23c0c9a2eca0c6e25829e05e830b2ac2325e72bf56fa9",
+           "33af379d1f72906c1b690b07db63911d7d8fc51d9c679ffaa4c755875aaef98f"),
     "Petersen": (petersen_graph,
-                 "3787cc0bc5c98d65a8e99fab29bc6d4a35de09f04d1c0c025028d0b7a6a3292c",
-                 "3e3050ac129089524e25af2f8b197f421c149faa78fa76e9dc15f9ce61891194"),
+                 "94decbb1ab910444fcdac7dc8aa468c7db124a9f3ec82559524d8ddf5d35b8ff",
+                 "b644f6a9af6a2cf65fffd00275a6096c835033e74866a33e711e2283ca2e64dc"),
     "random8": (lambda: random_graph(random.Random(8), 8, 0.5, 4),
-                "4e8063d5c3357e0d88ac577f994c765269f7c79f982388f070893ed106f935c3",
-                "5abc0840b9cb4102828817bba09bb1b4db8d67516ba7f2789f76471715f0d6b4"),
-    # k = 93 crossings, N = 7 714 model vertices
+                "f0f55f63bda2625ea86bc1f852ec2842345ca30baf57860598123e0cc33812a0",
+                "7863f80e3e3769582201fc1cafb1ae3da41a44a4fe6be796f56823186e73c938"),
+    # k = 31 crossings, N = 2 452 model vertices
     "random16": (lambda: random_graph(random.Random(16), 16, 0.5, 4),
-                 "3678a11ae2e7e29350eab44aa9862fbdef04825ffd5bca0d31fce1c39fbed254",
-                 "071fe41aaddd8793cf9b9b7f8a623495be43bd2d93cbb95918f9dd38be29fe09"),
+                 "dc12395751d878e254d296cb3338bda44beeb020c084bcdfb757c3a21da63293",
+                 "76c547ba73c7a83ba1ab3234a4046c1948d83342e54f9233c9e83b0ea5de4549"),
 }
 
 
@@ -65,10 +65,10 @@ def test_reduce_output_is_byte_identical(label):
 
 # label: SHA-256 of the SVG that `render` draws from to_json(reduce(g))
 SVG_GOLDEN = {
-    "K4": "2e18cdc9cacb92a505a974ee6d1e97d29339a065b1666cd1e7b03c6fd634eee2",
-    "K5": "90b072d6b730134ff85ed7b23e9974b7139b92baea66caf4f1b3dd522b33ce5f",
-    "C5": "ffb5cd379e1bc342cad4b86f4c41d8110939ebbab6fe280ecfb56c7c0daa6424",
-    "Petersen": "e32b6fff3910c4d12ea6b95d1be1a097f0c17ff1b467cc29de2f37cab25199da",
+    "K4": "1d04f50a99b834be2f94eca2d5281ad3880eb6e2ba63c52db6ff20aece8c4adb",
+    "K5": "d9933eb9bfc4f32662a3a091bb718a7819cf58b1ea49d2d160915e3a85779fda",
+    "C5": "7d166f761dad80de04e978f1fca94ae4a038663530d262a6ab6dd4a66de783c4",
+    "Petersen": "65d58dc0017cc808e80ba6f4a27ec9489d6bc784ad08b674258fd405b1556d4f",
 }
 
 
@@ -79,7 +79,7 @@ def test_rendered_svg_is_byte_identical(label):
 
 
 def test_reduce_outputs_on_random_graphs_are_identical():
-    # 876 crossings and 266 parity detours in all
+    # 249 crossings and 343 parity detours in all
     running = hashlib.sha256()
     rng = random.Random(2024)
     for _ in range(60):
@@ -87,7 +87,7 @@ def test_reduce_outputs_on_random_graphs_are_identical():
         g = random_graph(rng, n, p=rng.uniform(0.05, 1.0), max_deg=4)
         running.update(to_json(reduce(g)).encode("utf-8"))
     assert running.hexdigest() == (
-        "b9494ee4882d08bb8b2c916f6df24b4d237645ab8e001119336bf6c990af166b")
+        "9092f07aa0d573753d8aee75ef9b4fcb3d1cace679385e0c1bc0c5a6e4839312")
 
 
 def test_decompositions_of_random_graphs_are_identical():
@@ -139,7 +139,7 @@ def test_model_reports_are_identical():
         added = Graph(model.graph.n, model.graph.edges | {(u, v)})
         running.update(_model_report_json(ProximityModel(added, model.points)).encode("utf-8"))
     assert running.hexdigest() == (
-        "aa1c2551c42c52b55ba8e122cf6734b58de36adabbe350287fd176b81782d666")
+        "fcd375f453f53c1526107674316ef9c119499761d2b24c08ba7f6c8476cc642b")
 
 
 def _answer_json(result) -> str:

@@ -333,11 +333,11 @@ def _k5_with_one_fault(fault):
     ("missing edge", "model invalid: missing="),
     ("close points", "precision2 1/4 below 1/2"),
     ("loose points", "not tight despite k >= 1"),
-    ("coincident points", "coincident points for vertices 1685 and 1686"),
-    ("swapped model", "1 provenance entries, 54 vertices"),
-    ("apex on a path", r"N = 1687, not n \+ t \+ 4k = 1688"),
-    ("crossing on a path", r"kernel constant 1770, not 8k \+ t = 1766"),
-    ("path vertex original", r"N = 1687, not n \+ t \+ 4k = 1686"),
+    ("coincident points", "coincident points for vertices 595 and 596"),
+    ("swapped model", "1 provenance entries, 18 vertices"),
+    ("apex on a path", r"N = 597, not n \+ t \+ 4k = 598"),
+    ("crossing on a path", r"kernel constant 620, not 8k \+ t = 616"),
+    ("path vertex original", r"N = 597, not n \+ t \+ 4k = 596"),
     ("swapped source", r"kernel of U\(G\) is not G at weight 1: pairs \[\(\(0, 1\), 1\)"),
 ])
 def test_validate_reduction_rejects_each_fault(fault, words):
@@ -413,9 +413,19 @@ def test_path_graph_reduction():
     assert recover_mc(mc_u, r.k, r.t) == 3
 
 
+def test_cycles_and_paths_reduce_without_crossings():
+    # mesh_draw places a cycle or a path along itself, one step up the
+    # diagonal per vertex, so its routes form a staircase that no route
+    # crosses; the cycle's closing edge runs round the outside
+    for n in range(3, 61):
+        for g in (cycle_graph(n), path_graph(n)):
+            assert reduce(g).k == 0, (n, g.m)
+
+
 def test_unstandardized_drawings_return_or_raise_construction_error(monkeypatch):
-    # the raw staircase drawing puts crossings next to each other, next to
-    # route ends and near corners; every site precondition must catch that
+    # the raw drawing, its lines 2 apart, puts crossings next to each other,
+    # next to route ends and near corners; every site precondition must
+    # catch that
     monkeypatch.setattr("udgcut.reduction.standardize", lambda d: d)
     monkeypatch.setattr("udgcut.reduction.validate_standard", lambda d, x: {})
     cases = [complete_graph(4), complete_graph(5), cycle_graph(5), petersen_graph()]
@@ -438,9 +448,10 @@ def test_an_unstandardized_drawing_fails_the_standardness_gate(monkeypatch):
         reduce(complete_graph(5))
     assert str(info.value) == (
         "standardization failed: "
-        "{'crossing_pairs': (Point(xu=100, yu=120), Point(xu=100, yu=140)), "
-        "'vertex_crossing': (Point(xu=0, yu=0), Point(xu=0, yu=20)), "
-        "'parallel_rows': (-40, -20), 'parallel_cols': (-40, 0)}")
+        "{'crossing_pairs': (Point(xu=80, yu=40), Point(xu=160, yu=120)), "
+        "'vertex_pairs': (Point(xu=160, yu=80), Point(xu=200, yu=160)), "
+        "'vertex_crossing': (Point(xu=40, yu=40), Point(xu=80, yu=40)), "
+        "'parallel_rows': (0, 40), 'parallel_cols': (0, 40)}")
 
 
 def test_an_invalid_drawing_fails_the_drawing_gate(monkeypatch):

@@ -394,9 +394,10 @@ def test_planarity_verdict_rejects_an_invalid_model_with_a_far_crossing():
 
 
 def test_one_long_edge_costs_one_pass_over_the_edges(monkeypatch):
-    # the C5 model plus one edge between its two extreme points, hundreds
-    # of units long: the midpoint scan alone would need a radius that long
-    m = reduce(cycle_graph(5)).model
+    # the K5 model plus one edge between its two extreme points, hundreds
+    # of units long, which crosses K5's routes: the midpoint scan alone
+    # would need a radius that long
+    m = reduce(complete_graph(5)).model
     pts = m.points
     u, v = sorted((pts.index(min(pts)), pts.index(max(pts))))
     bad = ProximityModel(Graph(m.graph.n, m.graph.edges | {(u, v)}), pts)
