@@ -4,8 +4,8 @@ the maximum cut moves by exactly 8k + t (k crossings, t subdivision
 vertices), so mc(G) is recoverable from mc(U(G)).
 
 Steps, in construction order:
-  1. standard mesh drawing, with occupied parallel lines at least
-     drawing.SPACING = 6 mesh units apart (the paper uses 10);
+  1. standard mesh drawing: the i-th occupied line of each axis at
+     i * drawing.SPACING mesh units (the paper spaces lines 10 apart);
   2. per edge, one walk over its route lays out the path in final form:
      every interior mesh cross is a subdivision vertex, except where the edge
      is the horizontal one of a crossing, whose point and two flanks give way
@@ -22,7 +22,7 @@ validate_reduction checks every output, and certifies its cut identity
 with the chain-rule kernel (kernel.kernelize_graph, which reads U(G) alone):
 eliminating every vertex but G's must leave exactly G at weight 1 and the
 constant 8k + t.  That certificate, not the paper's spacing argument, is
-what the identity rests on at spacing 6.
+what the identity rests on at drawing.SPACING.
 
 U(G) is built in three lists indexed by vertex id: points, provenance and
 adjacency sets.  Ids are handed out in creation order, G's vertices first;
@@ -425,8 +425,9 @@ def load_output_json(text: str) -> LoadedOutput:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InputError("model JSON must be an object")
-        if payload.get("scale") != SCALE:
-            raise InputError(f"unsupported scale {payload.get('scale')}")
+        scale = payload.get("scale")
+        if type(scale) is not int or scale != SCALE:
+            raise InputError(f"unsupported scale {scale}")
         n = len(payload["vertices"])
         points = [None] * n
         roles = [ROLE_ORIGINAL] * n

@@ -371,6 +371,14 @@ def test_model_json_non_integer_counts_exit_2(tmp_path, capsys, changes):
     _exits_2_with_one_error_line(capsys, ["render", "--in", str(src)])
 
 
+@pytest.mark.parametrize("scale", ["20.0", "2e1"])
+def test_model_json_float_scale_exits_2(tmp_path, capsys, scale):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(_two_vertex_model()).replace('"scale": 20', f'"scale": {scale}'))
+    err = _exits_2_with_one_error_line(capsys, ["solve", "--in", str(src)])
+    assert "unsupported scale 20.0" in err
+
+
 @pytest.mark.parametrize("ids", [(0, 5), (1, 1), (-1, 0)],
                          ids=["out_of_range", "repeated", "negative"])
 def test_model_json_ids_not_a_permutation_exit_2(tmp_path, capsys, ids):

@@ -224,10 +224,45 @@ def test_standardize_preserves_the_abstract_graph():
 
 
 def test_standardize_separates_close_vertices():
-    # two vertices 3 apart on a shared column: one shift puts them SPACING apart
+    # two vertices 3 apart on a shared column: they are its rows 0 and 1, so
+    # standardize puts them SPACING apart
     d = MeshDrawing(graph(2), {0: Point.mesh(0, 0), 1: Point.mesh(0, 3)}, {})
     out = standardize(d)
     assert abs(out.placement[0].yu - out.placement[1].yu) >= SPACING * SCALE
+
+
+def _stretched(d: MeshDrawing, rng: random.Random) -> MeshDrawing:
+    """d with each axis's occupied lines moved by a random strictly
+    increasing map: gaps of 1-12 mesh units from an offset in -50..50."""
+    points = [*d.placement.values(), *(p for route in d.routes.values() for p in route)]
+    maps = []
+    for coords in ({p.xu for p in points}, {p.yu for p in points}):
+        at = rng.randint(-50, 50)
+        maps.append({})
+        for c in sorted(coords):
+            maps[-1][c] = at * SCALE
+            at += rng.randint(1, 12)
+    col_at, row_at = maps
+
+    def move(p: Point) -> Point:
+        return Point(col_at[p.xu], row_at[p.yu])
+
+    return MeshDrawing(d.graph, {v: move(p) for v, p in d.placement.items()},
+                       {e: tuple(map(move, route)) for e, route in d.routes.items()})
+
+
+def test_standardize_depends_only_on_the_order_of_the_lines():
+    rng = random.Random(30)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.9), 4)
+        raw = mesh_draw(g)
+        stretched = _stretched(raw, rng)
+        assert validate_drawing(stretched) == []
+        expected, d = standardize(raw), standardize(stretched)
+        assert (d.placement, d.routes) == (expected.placement, expected.routes)
+        assert validate_standard(d, crossings(d)) == {}
+        assert ([(c.horizontal_edge, c.vertical_edge) for c in crossings(stretched)]
+                == [(c.horizontal_edge, c.vertical_edge) for c in crossings(raw)])
 
 
 def _close_crossings_drawing() -> MeshDrawing:

@@ -276,6 +276,7 @@ def _vertex(**fields):
     ({"edges": [[0, 1, 2]]}, "too many values to unpack (expected 2)"),
     ({"k": 1.0}, "k must be an integer, got 1.0"),
     ({"t": None}, "t must be an integer, got None"),
+    ({"scale": 20.0}, "unsupported scale 20.0"),
 ], ids=lambda x: "" if isinstance(x, str) else json.dumps(x))
 def test_load_output_json_names_the_first_bad_field(payload, message):
     text = json.dumps({"scale": SCALE, "vertices": [_vertex(), _vertex(id=1, x=SCALE)],
@@ -283,6 +284,14 @@ def test_load_output_json_names_the_first_bad_field(payload, message):
     with pytest.raises(InputError) as info:
         load_output_json(text)
     assert str(info.value) == f"malformed model JSON: {message}"
+
+
+@pytest.mark.parametrize("scale", ["2e1", "2E+1", "200e-1"])
+def test_load_output_json_refuses_a_float_spelling_of_the_scale(scale):
+    # json.dumps writes 2e1 as 20.0, so these go in as text
+    with pytest.raises(InputError) as info:
+        load_output_json(f'{{"scale": {scale}, "vertices": [], "edges": []}}')
+    assert str(info.value) == "malformed model JSON: unsupported scale 20.0"
 
 
 def test_validate_reduction_accepts_all_outputs():
@@ -448,14 +457,15 @@ def test_an_unstandardized_drawing_fails_the_standardness_gate(monkeypatch):
         reduce(complete_graph(5))
     assert str(info.value) == (
         "standardization failed: "
-        "{'crossing_pairs': (Point(xu=80, yu=40), Point(xu=160, yu=120)), "
-        "'vertex_pairs': (Point(xu=160, yu=80), Point(xu=200, yu=160)), "
+        "{'crossing_pairs': (Point(xu=80, yu=40), Point(xu=80, yu=160)), "
+        "'vertex_pairs': (Point(xu=40, yu=40), Point(xu=160, yu=80)), "
         "'vertex_crossing': (Point(xu=40, yu=40), Point(xu=80, yu=40)), "
         "'parallel_rows': (0, 40), 'parallel_cols': (0, 40)}")
 
 
 def test_an_invalid_drawing_fails_the_drawing_gate(monkeypatch):
-    # two routes on one row that overlap; standardizing keeps the overlap
+    # two routes on one row that overlap; standardizing keeps the overlap,
+    # and sends x = 0, 5, 10, 15 to 0, 8, 16, 24
     def overlapping(g):
         placement = {0: Point.mesh(0, 0), 1: Point.mesh(10, 0),
                      2: Point.mesh(5, 0), 3: Point.mesh(15, 0)}
@@ -467,8 +477,8 @@ def test_an_invalid_drawing_fails_the_drawing_gate(monkeypatch):
         reduce(graph(4, [(0, 1), (2, 3)]))
     assert str(info.value) == (
         "standardized drawing invalid: ["
-        "'route (0, 1) passes through vertex 2 at Point(xu=220, yu=0)', "
-        "'route (2, 3) passes through vertex 1 at Point(xu=440, yu=0)', "
+        "'route (0, 1) passes through vertex 2 at Point(xu=160, yu=0)', "
+        "'route (2, 3) passes through vertex 1 at Point(xu=320, yu=0)', "
         "'routes (0, 1) and (2, 3) overlap collinearly']")
 
 

@@ -1,8 +1,10 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every private top-level name a module defines is read somewhere in the
-package, and every error class the package defines is raised in it."""
+package, every error class the package defines is raised in it, and the
+drawing's spacing is written down once."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -163,3 +165,33 @@ def test_the_error_class_check_finds_unraised_classes():
                         "def h():\n"
                         "    return C('never raised')\n")}
     assert _unraised_error_classes(sources) == ["C"]
+
+
+def _restated_spacing(sources: dict[str, str]) -> list[str]:
+    """module:line for each "SPACING = <digits>" in the sources, in code,
+    comment or docstring, other than drawing.py's top-level assignment."""
+    found = []
+    for module, text in sources.items():
+        assigned = {node.lineno for node in ast.parse(text).body
+                    if module == "drawing.py" and isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["SPACING"]}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(r"\bSPACING\s*=\s*\d", line) and lineno not in assigned:
+                found.append(f"{module}:{lineno}")
+    return found
+
+
+def test_the_spacing_value_is_written_once():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _restated_spacing(sources) == []
+
+
+def test_the_spacing_check_finds_restated_values():
+    sources = {"drawing.py": ("SPACING = 8\n"
+                              "def f():\n"
+                              "    SPACING = 7\n"
+                              "    return SPACING == 7\n"),
+               "a.py": ('"""Lines at least drawing.SPACING = 6 apart."""\n'
+                        "SPACING = 8\n"
+                        "GAP = SPACING * 2  # SPACING=6 in the paper\n")}
+    assert _restated_spacing(sources) == ["drawing.py:3", "a.py:1", "a.py:2", "a.py:3"]
