@@ -3,15 +3,14 @@
 Two routes: exhaustive enumeration of side vectors for small graphs, which
 splits the vertices into a high and a low block, walks the high-block
 assignments in Gray order and keeps the scores of every low-block
-completion as one list, updated by one precomputed flip vector per step
-(ties still go to the smallest side vector), and dynamic programming
-over a tree decomposition for the large but thin graphs the reduction
-produces.  From SPLIT_MIN_VERTICES vertices on, the high-block walk is
-cut into one part per usable CPU, and every part but the first is walked
-in a forked worker process.  The DP keeps the edges not yet counted as
-integer pair weights: a vertex with at most two weighted neighbours is
-forgotten by the chain rule in O(1), and only the other bags build a table
-over their side masks.
+completion packed in one int, 16 bits each, so that a step of the walk is
+a few big-integer operations (broadword computing, Knuth, TAOCP 4A,
+section 7.1.3; ties still go to the smallest side vector), and dynamic
+programming over a tree decomposition for the large but thin graphs the
+reduction produces.  The DP keeps the edges not yet counted as integer
+pair weights: a vertex with at most two weighted neighbours is forgotten
+by the chain rule in O(1), and only the other bags build a table over
+their side masks.
 
 The decomposition and the DP run with the cyclic garbage collector paused
 (graph_core.pause_gc): their sets, tuples and lists hold no reference
@@ -23,30 +22,18 @@ checks that the pipeline leaves no cyclic garbage.
 from __future__ import annotations
 
 import heapq
-import os
-import signal
-import struct
-import threading
-from collections.abc import Callable
+import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, repeat
-from operator import add, sub
+from operator import add
 
 from .errors import InputError, ParityError, SizeLimitError, WidthLimitError
 from .graph_core import Cut, Graph, adjacency, canon_edge, pause_gc
 from .kernel import add_weight, chain_rule
 
 DEFAULT_BRUTE_LIMIT = 26
-# Below this many vertices brute force walks in one process.  A fork, a
-# pipe and the wait cost about 1 ms.  Medians of 15 runs on random degree-4
-# graphs (2 vCPUs, Python 3.11.7), serial against two parts, for the cut:
-# n = 16 1.5 ms against 2.1 ms, 17 2.3 against 2.4, 18 4.5 against 3.6,
-# 20 19 against 11, 22 72 against 44; the bisection crosses over at the
-# same n.
-SPLIT_MIN_VERTICES = 18
-# a worker's result: its best value and smallest key
-_RESULT = struct.Struct("<qq")
+# the bias of a packed brute-force score; see _best_key
+_BIAS = 1 << 14
 # A bag of w + 1 vertices builds a 2^(w+1)-entry table, so the width ceiling
 # is a memory bound.  DP on the min-fill decomposition of the grid P_3k x P_k
 # (three runs each, 2 vCPUs, Python 3.11.7): width 13 (k = 10) in 0.12-0.17 s
@@ -87,180 +74,121 @@ def _with_vertex(table: list[int], weights: list[int]) -> list[int]:
             + list(map(add, table, map(total.__sub__, crossing))))
 
 
-def _best_key(g: Graph, ones: int | None = None,
-              parts: int | None = None) -> tuple[int, int]:
+def _packed_crossing(weights: list[int]) -> int:
+    """_crossing(weights) for non-negative weights, packed: entry m in the
+    16-bit field m of one int, bits 16m to 16m + 15."""
+    crossing = 0
+    for j, wt in enumerate(weights):
+        width = 16 << j  # the 2^j fields built so far
+        crossing |= (crossing + wt * _field_ones(width)) << width
+    return crossing
+
+
+def _field_ones(width: int) -> int:
+    """A 1 in each 16-bit field of the low width bits."""
+    return ((1 << width) - 1) // 0xFFFF
+
+
+def _best_key(g: Graph, ones: int | None = None) -> tuple[int, int]:
     """The best cut and the smallest key that reaches it, over the keys
     with vertex 0 on side 0 and, unless ones is None, exactly ones vertices
     on side 1.
 
     The low l = min(n // 2, DEFAULT_BRUTE_LIMIT // 2) key bits hold the low
     block, the last l vertices; the other bits hold the high block.  For a
-    high mask, val is the cut with the whole low block on side 0 and
-    scores[m] is what low mask m adds to it.  When a high vertex h moves to
-    side 1, val changes by h's side-0 neighbours minus its side-1
-    neighbours, and scores drops by h's flip vector: twice the number of
-    h's low neighbours in m.  Moving h back undoes both.  A flip vector is
-    kept only for a high vertex with a low neighbour, as bytes, so the
-    extra memory is at most (n - l - 1) * 2^l one-byte entries beside the
-    2^l-entry lists.
+    high mask, val is the cut with the whole low block on side 0 and score
+    m is what low mask m adds to it.  The 2^l scores are packed in one int,
+    scores: score m plus a bias of 2^14 in the 16-bit field m, bits 16m to
+    16m + 15.  A score is a cut minus a cut, so |score| <= |E| <= 325 < 2^14
+    for n <= DEFAULT_BRUTE_LIMIT = 26, and no field carries into or borrows
+    from its neighbour in any sum below.
 
-    The high masks are split into parts by their top walked bits (see
-    _walk_part); parts, a power of two, defaults to _part_count and is
-    clamped to the number of high masks.  Every part but part 0 is walked
-    in a forked worker (_walk_parts), which inherits the set-up below, so
-    each process holds its own score lists.  The largest value wins, and
-    among the parts that reach it the smallest key, so the answer does not
-    depend on parts.
+    The high masks are walked in Gray order, so each differs from the one
+    before in one vertex h.  When h moves to side 1, val changes by h's
+    side-0 neighbours minus its side-1 neighbours, and every score drops by
+    h's flip vector, twice the number of h's low neighbours in m, packed
+    the same way; moving h back undoes both.  A mask can replace the best
+    only with a larger total, or an equal one and a smaller high mask (the
+    key's high part), so it needs an eligible score of at least t = best -
+    val, plus 1 unless its high mask is the smaller.  Adding 2^15 - 2^14 - t
+    to every field sets a field's top bit exactly when its score is >= t,
+    so the test is one multiply, one add and one AND with the top bits of
+    the eligible fields: every field for the cut, and for the bisection
+    the low masks with as many vertices on side 1 as the high mask still
+    needs.  Only on a hit are the eligible fields unpacked to find the top
+    score; the lowest field reaching it is the smallest key within the
+    high mask.
+
+    Memory: the scores, one flip vector per high vertex with a low
+    neighbour, and one top-bit mask per side-1 count, each 2^l 16-bit
+    fields (16 KB at l = 13).
     """
     n = g.n
     low = min(n // 2, DEFAULT_BRUTE_LIMIT // 2)
     high = n - low
+    size = 1 << low
     nbmask = [0] * n
     for u, v in g.edges:
         nbmask[u] |= 1 << (n - 1 - v)
         nbmask[v] |= 1 << (n - 1 - u)
-    # low mask bit b holds vertex n-1-b; high mask bit b holds vertex high-1-b
-    low_cut = [0]
+    # low mask bit b holds vertex n-1-b; high mask bit b holds vertex high-1-b.
+    # The low block's own cut, grown by one vertex at a time as the top bit
+    # (as _with_vertex does for a list), plus, with every high vertex on
+    # side 0, the high neighbours that a low vertex on side 1 cuts
+    scores = 0
     for b in range(low):
-        low_cut = _with_vertex(low_cut, [nbmask[n - 1 - b] >> j & 1 for j in range(b)])
-    # with every high vertex on side 0, a low vertex on side 1 cuts all its
-    # high neighbours
-    scores = list(map(add, low_cut, _crossing(
-        [(nbmask[n - 1 - b] >> low).bit_count() for b in range(low)])))
-    moves = []  # by high mask bit: (bit, high neighbours, degree, flip vector)
+        weights = [nbmask[n - 1 - b] >> j & 1 for j in range(b)]
+        crossing = _packed_crossing(weights)
+        width = 16 << b
+        scores = ((scores + crossing)
+                  | (scores + sum(weights) * _field_ones(width) - crossing) << width)
+    field_ones = _field_ones(16 << low)
+    scores += _packed_crossing([(nbmask[n - 1 - b] >> low).bit_count()
+                                for b in range(low)]) + _BIAS * field_ones
+    moves = []  # by high mask bit: (bit, high neighbours, degree, packed flip vector)
     for b in range(high - 1):
         nb = nbmask[high - 1 - b]
-        low_nb = nb & ((1 << low) - 1)
-        flip = bytes(_crossing([2 * (low_nb >> j & 1) for j in range(low)])) if low_nb else b""
+        low_nb = nb & (size - 1)
+        flip = _packed_crossing([2 * (low_nb >> j & 1) for j in range(low)]) if low_nb else 0
         moves.append((1 << b, nb >> low, nb.bit_count(), flip))
-    by_ones: list[list[int]] = []  # the low masks of each popcount, ascending
-    if ones is not None:
-        by_ones = [[] for _ in range(low + 1)]
-        for m in range(1 << low):
-            by_ones[m.bit_count()].append(m)
-    if parts is None:
-        parts = _part_count(n)
-    parts = min(parts, 1 << (high - 1))
-    walk = partial(_walk_part, moves, scores, ones, by_ones, parts.bit_length() - 1)
-    # the largest value, then the smallest key
-    return max(_walk_parts(walk, parts), key=lambda best: (best[0], -best[1]))
-
-
-def _walk_part(moves: list[tuple[int, int, int, bytes]], scores: list[int],
-               ones: int | None, by_ones: list[list[int]], s: int,
-               p: int) -> tuple[int, int]:
-    """(best value, smallest key reaching it) over part p of the high
-    masks: those whose top s walked bits equal p, or (-1, -1) when none of
-    them has a completion with ones vertices on side 1.
-
-    The part's first mask is reached from the all-zero one by flipping its
-    set bits; from there the remaining bits are walked in Gray order, so
-    each mask differs from the one before in one vertex.  A mask replaces
-    the best when its total is larger, or equal with a smaller key; within
-    one mask the first index of the maximum is the smallest key.
-    """
-    low = len(scores).bit_length() - 1
-    r = len(moves) - s  # the walked bits below the part's fixed ones
+    # eligible[c]: the top bits of the fields a high mask with c vertices
+    # on side 1 may complete, or 0 when it has no completion
+    if ones is None:
+        eligible = [0x8000 * field_ones] * high
+    else:
+        pops = bytes(m.bit_count() for m in range(size))
+        eligible = []
+        for c in range(high):
+            top_bits = bytearray(2 * size)
+            if 0 <= ones - c <= low:
+                top_bits[1::2] = pops.translate(bytes(0x80 * (p == ones - c) for p in range(256)))
+            eligible.append(int.from_bytes(top_bits, "little"))
+    offset = 0x8000 - _BIAS
     mh = val = 0
-    for b in range(r, len(moves)):
-        if p >> (b - r) & 1:
-            bit, high_nb, deg, flip = moves[b]
-            mh |= bit
-            val += deg - 2 * (high_nb & mh).bit_count()
-            if flip:
-                scores = list(map(sub, scores, flip))
     best_val = best_key = -1
-    for step in range(1 << r):
+    for step in range(1 << (high - 1)):
         if step:
             bit, high_nb, deg, flip = moves[(step & -step).bit_length() - 1]
             mh ^= bit
             gain = deg - 2 * (high_nb & mh).bit_count()
             if mh & bit:
                 val += gain
-                if flip:
-                    scores = list(map(sub, scores, flip))
+                scores -= flip
             else:
                 val -= gain
-                if flip:
-                    scores = list(map(add, scores, flip))
-        if ones is None:
-            top = max(scores)
-        else:
-            rest = ones - mh.bit_count()
-            if not 0 <= rest <= low:
-                continue
-            top = max(map(scores.__getitem__, by_ones[rest]))
-        # the high mask is the key's high part, so a smaller one is a
-        # smaller key whatever the low part
-        if val + top > best_val or val + top == best_val and mh < best_key >> low:
-            best_val = val + top
-            i = (scores.index(top) if ones is None
-                 else next(m for m in by_ones[rest] if scores[m] == top))
-            best_key = mh << low | i
+                scores += flip
+        top_bits = eligible[mh.bit_count()]
+        t = best_val - val + (mh >= best_key >> low)
+        if not (scores + (offset - t) * field_ones) & top_bits:
+            continue
+        # a hit: unpack the eligible fields, the others cleared, in native
+        # order (the order of the fields does not matter to max)
+        fields = (scores & (top_bits >> 15) * 0xFFFF).to_bytes(2 * size, sys.byteorder)
+        top = max(memoryview(fields).cast("H")) - _BIAS
+        hits = (scores + (offset - top) * field_ones) & top_bits
+        best_val = val + top
+        best_key = mh << low | (hits & -hits).bit_length() // 16 - 1
     return best_val, best_key
-
-
-def _part_count(n: int) -> int:
-    """How many parts the high masks of an n-vertex graph are split into:
-    the largest power of two at most the number of usable CPUs, or 1 when
-    n < SPLIT_MIN_VERTICES, when os.fork is missing, or when another
-    thread is alive (a forked child holds a copy of any lock that thread
-    held)."""
-    if n < SPLIT_MIN_VERTICES or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return 1 << (cpus.bit_length() - 1)
-
-
-def _walk_parts(walk: Callable[[int], tuple[int, int]],
-                parts: int) -> list[tuple[int, int]]:
-    """walk(p) for every p < parts, walk(0) in this process and the others
-    in forked workers, one each.
-
-    Each worker writes its result to its own pipe as two signed 8-byte
-    ints, one write of 16 bytes, and ends with os._exit.  A part whose pipe
-    or fork fails, or whose worker ends without writing, is walked here
-    instead.
-    No worker outlives the call: they are read and reaped before it returns
-    and killed first when it raises.
-    """
-    workers = []  # (part, pid, read end of its pipe)
-    results = []
-    try:
-        for p in range(1, parts):
-            try:
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-            except OSError:
-                results.append(walk(p))
-                continue
-            if pid == 0:  # the worker
-                try:
-                    os.close(r)
-                    os.write(w, _RESULT.pack(*walk(p)))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            workers.append((p, pid, r))
-        results.append(walk(0))
-        for p, _, r in workers:
-            data = os.read(r, _RESULT.size)
-            results.append(_RESULT.unpack(data) if len(data) == _RESULT.size else walk(p))
-    except BaseException:
-        for _, pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pid, r in workers:
-            os.close(r)
-            os.waitpid(pid, 0)
-    return results
 
 
 def max_cut_bruteforce(g: Graph) -> tuple[int, Cut]:
@@ -268,19 +196,11 @@ def max_cut_bruteforce(g: Graph) -> tuple[int, Cut]:
 
     Vertex 0 is fixed to side 0; ties break toward the lexicographically
     smallest side vector, although the high-block assignments are walked
-    in Gray order.  Memory stays within lists of 2^l entries plus
-    (n - l - 1) * 2^l bytes of flip vectors, where the low block's length
-    l is at most DEFAULT_BRUTE_LIMIT // 2.
-
-    With n >= SPLIT_MIN_VERTICES the high-block assignments are cut into
-    2^s parts by their top s bits, the largest power of two at most the
-    number of usable CPUs.  This process walks the first part and a forked
-    worker each other one, with its own score lists, so the memory above
-    is per process.  The walk stays in one process below that size, where
-    os.fork does not exist, and while another thread is alive.  The best
-    value of any part wins, and the smallest side vector among the parts
-    that reach it, so the answer and its tie-break do not depend on the
-    split.
+    in Gray order.  The scores of the 2^l low-block completions, where l
+    is at most DEFAULT_BRUTE_LIMIT // 2, are 16-bit fields of one int with
+    a bias of 2^14, which holds because no score exceeds the edge count
+    (at most 325 here) in size.  Memory stays within one such int per high
+    vertex plus two: 16 KB each at l = 13.  The walk runs in this process.
     """
     n = g.n
     if n > DEFAULT_BRUTE_LIMIT:
@@ -297,10 +217,10 @@ def max_bisection_bruteforce(g: Graph) -> tuple[int, Cut]:
 
     Ties break toward the lexicographically smallest balanced side vector,
     although the high-block assignments are walked in Gray order.  The
-    scores of every low completion are updated at each step of the walk,
-    and read only at the balanced ones.  The walk is split across forked
-    processes, and memory is per process, as for max_cut_bruteforce; the
-    answer is the same as one process's.
+    packed scores of every low completion are updated at each step of the
+    walk, as for max_cut_bruteforce, and tested only at the fields with
+    the popcount that balances the high mask; memory adds one packed mask
+    per popcount, l + 1 of them.
     """
     n = g.n
     if n % 2 != 0:

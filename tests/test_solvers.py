@@ -2,11 +2,8 @@
 
 import hashlib
 import heapq
-import os
 import random
 import re
-import threading
-import time
 from itertools import combinations, product
 
 import pytest
@@ -18,9 +15,8 @@ from udgcut.errors import InputError, ParityError, SizeLimitError, WidthLimitErr
 from udgcut.graph_core import (Cut, adjacency, complete_graph, cut_size,
                                cycle_graph, disjoint_union, graph, path_graph,
                                petersen_graph, random_graph, subdivide_randomly)
-from udgcut.solvers import (DEFAULT_BRUTE_LIMIT, SPLIT_MIN_VERTICES,
-                            TreeDecomposition, _best_key, _part_count,
-                            _side_tuple, greedy_tree_decomposition,
+from udgcut.solvers import (DEFAULT_BRUTE_LIMIT, TreeDecomposition,
+                            _best_key, _side_tuple, greedy_tree_decomposition,
                             max_bisection_bruteforce, max_cut_bruteforce,
                             max_cut_treewidth_dp)
 
@@ -98,7 +94,7 @@ def test_graphs_whose_every_edge_crosses_the_split(n):
     if n % 2 == 0:
         size, cut = max_bisection_bruteforce(g)
         assert (size, cut.side) == _naive_optimum(g, balanced=True) == (g.m, cut.side)
-    _assert_parts_agree(g)
+    _assert_list_walk_agrees(g)
 
 
 def _complete_bipartite(a, b):
@@ -125,7 +121,6 @@ def test_a_low_block_shorter_than_half_the_vertices(monkeypatch, cap):
         if g.n % 2 == 0:
             size, key = _best_key(g, g.n // 2)
             assert (size, _side_tuple(key, g.n)) == _naive_optimum(g, balanced=True)
-        _assert_parts_agree(g)
 
 
 def test_edgeless_graphs_keep_the_smallest_side_vector():
@@ -136,119 +131,94 @@ def test_edgeless_graphs_keep_the_smallest_side_vector():
         if n % 2 == 0:
             side = (0,) * (n // 2) + (1,) * (n // 2)
             assert max_bisection_bruteforce(graph(n)) == (0, Cut(side, 0))
-        # split, every part reaches 0, so the merge alone picks the key
-        for parts in (2, 4):
-            assert _best_key(graph(n), None, parts) == (0, 0)
-            if n % 2 == 0:
-                assert _best_key(graph(n), n // 2, parts) == (0, (1 << n // 2) - 1)
 
 
-def _assert_parts_agree(g):
-    """The core gives the serial walk's (size, key) split into 2 or 4 parts."""
+def _list_walk(g, ones=None):
+    """(best cut, smallest key reaching it) by the same split and Gray-order
+    walk as _best_key, with the low-block scores kept as a plain list, one
+    entry per low mask, and every step applied to the whole list."""
+    n = g.n
+    low = min(n // 2, DEFAULT_BRUTE_LIMIT // 2)
+    high = n - low
+
+    def side_of(key):
+        return [key >> (n - 1 - v) & 1 for v in range(n)]
+
+    # the score of low mask m with every high vertex on side 0: its cut
+    # minus the cut of the all-zero key, which is 0
+    scores = [cut_size(g, side_of(m)) for m in range(1 << low)]
+    nbrs = adjacency(g)
+    flips = []  # by high mask bit b, which holds vertex high-1-b
+    for b in range(high - 1):
+        low_nb = [u for u in nbrs[high - 1 - b] if u >= high]
+        flips.append([2 * sum(side_of(m)[u] for u in low_nb) for m in range(1 << low)])
+    mh = val = 0
+    best_val = best_key = -1
+    for step in range(1 << (high - 1)):
+        if step:
+            b = (step & -step).bit_length() - 1
+            mh ^= 1 << b
+            # val is the cut with the low block on side 0
+            val = cut_size(g, side_of(mh << low))
+            sign = -1 if mh >> b & 1 else 1
+            scores = [s + sign * f for s, f in zip(scores, flips[b])]
+        masks = [m for m in range(1 << low)
+                 if ones is None or m.bit_count() + mh.bit_count() == ones]
+        if not masks:
+            continue
+        top = max(scores[m] for m in masks)
+        if val + top > best_val or val + top == best_val and mh < best_key >> low:
+            best_val = val + top
+            best_key = mh << low | next(m for m in masks if scores[m] == top)
+    return best_val, best_key
+
+
+def _assert_list_walk_agrees(g):
+    """The packed walk gives the list walk's (size, key), cut and bisection."""
     for ones in (None, g.n // 2) if g.n % 2 == 0 else (None,):
-        serial = _best_key(g, ones, 1)
-        for parts in (2, 4):
-            assert _best_key(g, ones, parts) == serial, (parts, ones)
+        assert _best_key(g, ones) == _list_walk(g, ones), ones
 
 
-def test_every_part_count_gives_the_serial_answer():
-    # n = 1 ... 4 walk fewer high bits than 4 parts need, so the part count
-    # is cut down to the number of high masks
+def test_the_list_walk_is_plain_enumeration():
+    rng = random.Random(79)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 11), p=rng.choice([0.1, 0.4, 0.9]))
+        for balanced in (False, True) if g.n % 2 == 0 else (False,):
+            size, key = _list_walk(g, g.n // 2 if balanced else None)
+            assert (size, _side_tuple(key, g.n)) == _naive_optimum(g, balanced)
+
+
+def test_the_packed_walk_matches_the_list_walk():
+    # sparse graphs tie often, so the smallest-key rule is exercised too
     rng = random.Random(73)
-    for n in range(1, 23):
-        g = random_graph(rng, n, p=rng.choice([0.1, 0.3, 0.5, 0.9]), max_deg=rng.choice([4, n]))
-        _assert_parts_agree(g)
-        if n <= 12:
-            assert _best_key(g, None, 4)[0] == _naive_optimum(g)[0]
+    for n in range(13, 23):
+        g = random_graph(rng, n, p=rng.choice([0.05, 0.2, 0.5, 0.9]), max_deg=rng.choice([4, n]))
+        _assert_list_walk_agrees(g)
 
 
-def _assert_no_worker_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+_HALVES = (0,) * 13 + (1,) * 13
+# K13,13 with the parts {1..12, 25} and {0, 13..24}: its one optimum puts
+# twelve high vertices and one low vertex on side 1
+_ACROSS = (0,) + (1,) * 12 + (0,) * 12 + (1,)
 
 
-def test_no_worker_outlives_a_return():
-    g = random_graph(random.Random(74), 16, p=0.5, max_deg=4)
-    for ones in (None, 8):
-        _best_key(g, ones, 4)
-        _assert_no_worker_left()
-
-
-def test_no_worker_outlives_a_parent_part_that_raises(monkeypatch):
-    # the workers would take a minute, so a prompt return means they were
-    # killed, not waited for
-    parent = os.getpid()
-
-    def failing(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise RuntimeError("part 0 fails")
-
-    monkeypatch.setattr(udgcut.solvers, "_walk_part", failing)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="part 0 fails"):
-        _best_key(random_graph(random.Random(75), 16, p=0.5, max_deg=4), None, 4)
-    assert time.monotonic() - start < 30
-    _assert_no_worker_left()
-
-
-def test_a_part_without_a_result_is_walked_again(monkeypatch):
-    parent = os.getpid()
-    walk = udgcut.solvers._walk_part
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return walk(*args)
-
-    g = random_graph(random.Random(83), 16, p=0.5, max_deg=4)
-    expected = [_best_key(g, ones, 1) for ones in (None, 8)]
-    # the answers lie outside part 0, the parent's own: the key's top two
-    # walked bits, below vertex 0's, are not both 0
-    assert all(key >> 13 for _, key in expected)
-    monkeypatch.setattr(udgcut.solvers, "_walk_part", dying)
-    assert [_best_key(g, ones, 4) for ones in (None, 8)] == expected
-    _assert_no_worker_left()
-
-    def refused():
-        raise OSError("refused")
-
-    for call in ("fork", "pipe"):
-        monkeypatch.setattr(os, call, refused)
-        assert [_best_key(g, ones, 4) for ones in (None, 8)] == expected
-        _assert_no_worker_left()
-
-
-def test_no_fork_on_small_graphs_or_beside_another_thread(monkeypatch):
-    forks = []
-
-    def fork():
-        forks.append(1)
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _part_count(SPLIT_MIN_VERTICES) == 4
-    rng = random.Random(77)
-    small = random_graph(rng, SPLIT_MIN_VERTICES - 1, p=0.5, max_deg=4)
-    large = random_graph(rng, SPLIT_MIN_VERTICES, p=0.5, max_deg=4)
-    max_cut_bruteforce(small)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(10,))
-    other.start()
-    try:
-        max_cut_bruteforce(large)
-        max_bisection_bruteforce(large)
-    finally:
-        release.set()
-        other.join(10)
-    assert not other.is_alive()
-    assert forks == []
-    with pytest.raises(AssertionError, match="forked"):
-        max_cut_bruteforce(large)
-    monkeypatch.delattr(os, "fork")
-    assert _part_count(SPLIT_MIN_VERTICES) == 1
+@pytest.mark.parametrize("g, size, cut_side, bisection_side", [
+    pytest.param(complete_graph(26), 169, _HALVES, _HALVES, id="K26"),
+    pytest.param(_complete_bipartite(13, 13), 169, _HALVES, _HALVES, id="K13,13"),
+    pytest.param(graph(26, [(min(u, v), max(u, v)) for u in [*range(1, 13), 25]
+                            for v in [0, *range(13, 25)]]),
+                 169, _ACROSS, _ACROSS, id="K13,13-across-the-blocks"),
+    pytest.param(graph(26), 0, (0,) * 26, _HALVES, id="edgeless"),
+])
+def test_the_field_range_extremes_at_the_size_limit(g, size, cut_side, bisection_side):
+    # A score is a cut minus a cut, so it lies within +-169 at n = 26.  K26
+    # and K13,13 reach +169; across the blocks, the high mask that wins cuts
+    # 156 edges with the low block on side 0, so the unpacked field of the
+    # all-ones low mask holds 13 - 156 = -143, and a bias below 143 would
+    # borrow from its neighbour.  The edgeless graph ties every key.
+    assert g.n == DEFAULT_BRUTE_LIMIT
+    assert max_cut_bruteforce(g) == (size, Cut(cut_side, size))
+    assert max_bisection_bruteforce(g) == (size, Cut(bisection_side, size))
 
 
 @st.composite

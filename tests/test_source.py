@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every private top-level name a module defines is read somewhere in the
-package, every error class the package defines is raised in it, and the
-drawing's spacing is written down once."""
+package, every error class the package defines is raised in it, the drawing's
+spacing is written down once, and no module starts a process."""
 
 import ast
 import re
@@ -195,3 +195,52 @@ def test_the_spacing_check_finds_restated_values():
                         "SPACING = 8\n"
                         "GAP = SPACING * 2  # SPACING=6 in the paper\n")}
     assert _restated_spacing(sources) == ["drawing.py:3", "a.py:1", "a.py:2", "a.py:3"]
+
+
+# os functions that start a process
+_OS_PROCESS_STARTS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen",
+                      "spawnl", "spawnle", "spawnlp", "spawnlpe", "spawnv", "spawnve",
+                      "spawnvp", "spawnvpe"}
+
+
+def _process_starts(sources: dict[str, str]) -> list[str]:
+    """module:line for each import of subprocess or multiprocessing (or a
+    submodule of either), and each os function that starts a process, read
+    as os.<name> or imported from os."""
+    found = []
+    for module, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                names = [n.module] + ([f"os.{a.name}" for a in n.names]
+                                      if n.module == "os" else [])
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id == "os"):
+                names = [f"os.{n.attr}"]
+            else:
+                continue
+            if any(name.split(".")[0] in ("subprocess", "multiprocessing")
+                   or name.startswith("os.") and name[3:] in _OS_PROCESS_STARTS
+                   for name in names):
+                found.append(f"{module}:{n.lineno}")
+    return found
+
+
+def test_no_module_starts_a_process():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _process_starts(sources) == []
+
+
+def test_the_process_check_finds_every_start():
+    sources = {"a.py": ("import os\n"
+                        "import subprocess\n"
+                        "def f():\n"
+                        "    if os.fork() == 0:\n"
+                        "        os._exit(0)\n"
+                        "    return os.getpid(), os.path.join('a', 'b')\n"),
+               "b.py": ("from multiprocessing.pool import Pool\n"
+                        "from os import path, spawnv\n"
+                        "import concurrent.futures, multiprocessing as mp\n"
+                        "x = 'os.fork'  # os.system\n")}
+    assert _process_starts(sources) == ["a.py:2", "a.py:4", "b.py:1", "b.py:2", "b.py:3"]
